@@ -48,8 +48,10 @@ def _cmd_simulate(args) -> int:
     if args.events:
         with open(args.events, "w") as fh:
             fh.write(res.events.to_jsonl() + ("\n" if len(res.events) else ""))
+    s = res.stats
     print(f"simulated n={st0.n} to t={cfg.t_end}: {len(res.events)} events, "
-          f"{len(res.diagnostics.t)} steps")
+          f"{s['accepted']} accepted steps, {s['rejected']} rejected, "
+          f"{s['force_evals']} force evaluations")
     return EXIT_OK
 
 

@@ -144,16 +144,6 @@ class Diagnostics:
     energy: list = field(default_factory=list)
     n_charged: list = field(default_factory=list)
 
-    def record(self, state: ParticleState, e: float):
-        dp, dm, do = state.min_gaps()
-        self.t.append(state.t)
-        self.d_plus.append(dp)
-        self.d_minus.append(dm)
-        self.min_opposite_gap.append(do)
-        self.m1.append(float(np.sum(state.x)))
-        self.energy.append(e)
-        self.n_charged.append(int(len(state.charged_indices)))
-
     def arrays(self) -> dict:
         return {k: np.asarray(v) for k, v in self.__dict__.items()}
 
@@ -192,6 +182,8 @@ class SimulationResult:
     events: EventLog
     diagnostics: Diagnostics
     snapshots: list            # states at requested t_eval times
+    # step attempts accepted and rejected, and right-hand-side evaluations
+    stats: dict
 
     def trajectory_csv(self) -> str:
         n = self.snapshots[0].n if self.snapshots else self.state.n
@@ -212,32 +204,13 @@ def velocities(state: ParticleState, pot: Potential, alpha: float,
                field: ExternalField | None = None) -> np.ndarray:
     """Right-hand side of the ODE; zero for neutral particles.
 
-    The pairwise sum runs in a fixed index order (vectorized row reduction),
-    so repeated evaluation is bitwise reproducible.
+    The pair sum visits each pair once, in a fixed order, so repeated
+    evaluation is bitwise reproducible.  Positions need not be sorted;
+    coincident charged particles raise SingularConfigurationError.
     """
-    g = (field or zero_field()).g
-    return _velocities_raw(state.x, state.b, pot, alpha, g)
-
-
-def _velocities_raw(x, b, pot, alpha, g):
-    n = len(x)
-    vel = np.zeros(n)
-    idx = np.flatnonzero(b != 0)
-    if len(idx) == 0:
-        return vel
-    xc = x[idx]
-    bc = b[idx].astype(float)
-    if len(idx) >= 2:
-        diff = xc[:, None] - xc[None, :]
-        off = ~np.eye(len(idx), dtype=bool)
-        if np.any(diff[off] == 0.0):
-            raise SingularConfigurationError(
-                "coincident charged particles in force evaluation")
-        f = np.zeros_like(diff)
-        f[off] = -(alpha ** 2) * pot.deriv(alpha * diff[off], 1)
-        inter = bc * np.sum(f * bc[None, :], axis=1) / n
-        vel[idx] = inter
-    vel[idx] += bc * np.asarray(g(xc), dtype=float)
+    seg = _checked_segment(state, pot, alpha, field)
+    vel = np.zeros(state.n)
+    vel[seg.idx] = seg.rhs(seg.xc)
     return vel
 
 
@@ -245,19 +218,18 @@ def energy(state: ParticleState, pot: Potential, alpha: float,
            field: ExternalField | None = None) -> float:
     """Interaction energy (1/n^2) sum_{i>j} b_i b_j V_alpha(x_i - x_j)
     plus (1/n) sum_i b_i U(x_i); the dynamics is its gradient flow."""
-    n = state.n
-    idx = state.charged_indices
-    e = 0.0
-    if len(idx) >= 2:
-        xc, bc = state.x[idx], state.b[idx].astype(float)
-        diff = xc[:, None] - xc[None, :]
-        iu = np.triu_indices(len(idx), k=1)
-        vals = alpha * pot.deriv(alpha * diff[iu], 0)
-        e += float(np.sum(bc[iu[0]] * bc[iu[1]] * vals)) / n ** 2
-    if field is not None:
-        e += float(np.sum(state.b[idx] * np.asarray(field.u(state.x[idx]),
-                                                    dtype=float))) / n
-    return e
+    seg = _checked_segment(state, pot, alpha, field)
+    return seg.energy(seg.xc)
+
+
+def _checked_segment(state, pot, alpha, field):
+    """The segment of ``state``; coincident charged particles, where the
+    pair force is undefined, raise SingularConfigurationError."""
+    seg = _Segment(state.x, state.b, pot, alpha, field)
+    if len(np.unique(seg.xc)) < seg.m:
+        raise SingularConfigurationError(
+            "coincident charged particles in force evaluation")
+    return seg
 
 
 # ---------------------------------------------------------------------------
@@ -308,25 +280,19 @@ def detect_collision(state: ParticleState, prev_state: ParticleState,
     """
     if not np.array_equal(state.b, prev_state.b):
         raise ValueError("states must share the charge pattern")
-    seg = _Segment(state.x.copy(), state.b.copy(), state.t, _IdentityPot(),
-                   1.0, None, opts)
-    gaps = np.diff(seg.xc)
-    prev_xc = prev_state.x[seg.idx]
-    prev_opp = np.diff(prev_xc)[seg.opp]
+    idx = state.charged_indices
+    bc = state.b[idx]
+    opp = bc[:-1] * bc[1:] < 0
+    gaps = np.diff(state.x[idx])
+    prev_opp = np.diff(prev_state.x[idx])[opp]
     p = 2.0 + exponent
-    hit = _extrapolate_event(seg, seg.xc, gaps, prev_opp, state.t,
+    hit = _extrapolate_event(opp, idx, gaps, prev_opp, state.t,
                              prev_state.t, p, opts.trigger_radius(exponent),
                              opts.cluster_radius(exponent))
     if hit is None:
         return None
     tau, clusters = hit
     return tau, [[(i, float(state.x[i])) for i in c] for c in clusters]
-
-
-class _IdentityPot:
-    """Placeholder force table for detection-only segments."""
-
-    derivs = (lambda x: x, lambda x: np.ones_like(x))
 
 
 # ---------------------------------------------------------------------------
@@ -355,10 +321,22 @@ def _finalize_event(state: ParticleState, tau: float, clusters,
     return new
 
 
-class _Segment:
-    """Charged subsystem between two events: fixed index set, fast kernels."""
+# pairs per chunk of the pair sweep: each temporary stays near 64 KB, in
+# cache and below the allocator's mmap threshold, so it is not faulted in
+# again on every evaluation
+_PAIR_CHUNK = 8192
 
-    def __init__(self, x_full, b_full, t, pot, alpha, field, opts):
+
+class _Segment:
+    """Charged subsystem between two events: fixed index set, fast kernels.
+
+    Forces and energy sweep the pairs i < j once, in fixed chunks of
+    ``_PAIR_CHUNK``.  The evaluators are defined on (0, inf) only, so each
+    chunk evaluates at |x_i - x_j| and applies the sign afterwards; stage
+    points of the integrator need not be ordered.
+    """
+
+    def __init__(self, x_full, b_full, pot, alpha, field, record_energy=True):
         self.n = len(x_full)
         self.idx = np.flatnonzero(b_full != 0)
         self.m = len(self.idx)
@@ -366,7 +344,6 @@ class _Segment:
         self.bc = b_full[self.idx].astype(float)
         self.x_full = x_full
         self.b_full = b_full
-        self.t = t
         self.alpha = alpha
         self.d0 = pot.derivs[0]
         self.d1 = pot.derivs[1]
@@ -377,34 +354,34 @@ class _Segment:
         self.opp = bl * br < 0
         self.same_p = (bl > 0) & (br > 0)
         self.same_m = (bl < 0) & (br < 0)
-        self.iu = np.triu_indices(self.m, k=1)
-        self.charge_sign = np.outer(self.bc, self.bc)
-        self.record_energy = opts.record_energy and self.m >= 1
+        iu, ju = np.triu_indices(self.m, k=1)
+        self.chunks = []    # (i, j, b_i b_j) per chunk of pairs i < j
+        for s in range(0, len(iu), _PAIR_CHUNK):
+            i, j = iu[s:s + _PAIR_CHUNK], ju[s:s + _PAIR_CHUNK]
+            self.chunks.append((i, j, self.bc[i] * self.bc[j]))
+        self.record_energy = record_energy and self.m >= 1
 
     def rhs(self, xc):
         m = self.m
         if m == 0:
             return np.empty(0)
-        if m == 1:
-            return self.bc * np.asarray(self.g(xc), dtype=float)
-        diff = xc[:, None] - xc[None, :]
-        ad = np.abs(diff) * self.alpha
-        np.fill_diagonal(ad, 1.0)
+        acc = np.zeros(m)
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            f = -(self.alpha ** 2) * self.d1(ad) * np.sign(diff)
-        np.fill_diagonal(f, 0.0)
-        vel = self.bc * np.sum(f * self.bc[None, :], axis=1) / self.n
+            for i, j, q in self.chunks:
+                d = xc[i] - xc[j]
+                v1 = self.d1(self.alpha * np.abs(d))
+                w = q * (-(self.alpha ** 2)) * v1 * np.sign(d)
+                acc += np.bincount(i, w, m)
+                acc -= np.bincount(j, w, m)
+        vel = acc / self.n
         vel += self.bc * np.asarray(self.g(xc), dtype=float)
         return vel
 
     def energy(self, xc):
-        if not self.record_energy:
-            return np.nan
         e = 0.0
-        if self.m >= 2:
-            gaps = np.abs(xc[self.iu[0]] - xc[self.iu[1]])
-            vals = self.alpha * self.d0(self.alpha * gaps)
-            e += float(np.sum(self.charge_sign[self.iu] * vals)) / self.n ** 2
+        for i, j, q in self.chunks:
+            vals = self.alpha * self.d0(self.alpha * np.abs(xc[i] - xc[j]))
+            e += float(np.sum(q * vals)) / self.n ** 2
         if self.u is not None and self.m >= 1:
             e += float(np.sum(self.bc * np.asarray(self.u(xc), dtype=float))) / self.n
         return e
@@ -419,7 +396,7 @@ class _Segment:
         diag.d_minus.append(dm)
         diag.min_opposite_gap.append(do)
         diag.m1.append(float(np.sum(xc)) + self.neutral_m1)
-        diag.energy.append(self.energy(xc))
+        diag.energy.append(self.energy(xc) if self.record_energy else np.nan)
         diag.n_charged.append(self.m)
 
     def state(self, t, xc) -> ParticleState:
@@ -465,15 +442,15 @@ def simulate(state0: ParticleState, pot: Potential, alpha: float,
         snapshots.append(ParticleState(t, x_full, b_full))
 
     steps = 0
-    first_record = True
+    stats = {"accepted": 0, "rejected": 0, "force_evals": 0}
 
     while True:
-        seg = _Segment(x_full, b_full, t, pot, alpha, field, opts)
+        # one diagnostics row at the start and one after each event batch
+        seg = _Segment(x_full, b_full, pot, alpha, field, opts.record_energy)
         xc = seg.xc
-        if first_record:
-            seg.record(diag, t, xc)
-            first_record = False
+        seg.record(diag, t, xc)
         k1 = seg.rhs(xc)
+        stats["force_evals"] += 1
         h = opts.h_init
         gaps = np.diff(xc)
         prev_opp_gaps = gaps[seg.opp].copy() if seg.m >= 2 else np.empty(0)
@@ -497,10 +474,12 @@ def simulate(state0: ParticleState, pot: Potential, alpha: float,
             # Bogacki-Shampine 3(2), first-same-as-last
             k2 = seg.rhs(xc + 0.5 * h * k1)
             k3 = seg.rhs(xc + 0.75 * h * k2)
+            stats["force_evals"] += 2
             x_new = xc + h * (2.0 * k1 + 3.0 * k2 + 4.0 * k3) / 9.0
             ordered = seg.m < 2 or bool(np.all(np.diff(x_new) > 0))
             if ordered:
                 k4 = seg.rhs(x_new)
+                stats["force_evals"] += 1
                 err = h * np.abs(-5.0 / 72.0 * k1 + k2 / 12.0 + k3 / 9.0 - k4 / 8.0)
                 scale = opts.rk_tol * (1.0 + np.abs(xc))
                 err_norm = float(np.max(err / scale)) if seg.m else 0.0
@@ -510,14 +489,16 @@ def simulate(state0: ParticleState, pot: Potential, alpha: float,
                 err_norm = np.inf
 
             if err_norm > 1.0:
+                stats["rejected"] += 1
                 if h > opts.h_min:
                     shrink = 0.2 if not np.isfinite(err_norm) else \
                         max(0.2, 0.9 * err_norm ** (-1.0 / 3.0))
                     h = max(h * shrink, opts.h_min)
                     continue
                 # step underflow: only acceptable right on top of a collision
-                event = _extrapolate_event(seg, xc, gaps, prev_opp_gaps, t,
-                                           t_prev, p, 2.0 * r_trig, r_cluster)
+                event = _extrapolate_event(seg.opp, seg.idx, gaps,
+                                           prev_opp_gaps, t, t_prev, p,
+                                           2.0 * r_trig, r_cluster)
                 if event is None:
                     raise StiffnessError(
                         f"step underflow at t={t:.6g} without a collision",
@@ -525,6 +506,7 @@ def simulate(state0: ParticleState, pot: Potential, alpha: float,
                 break
 
             # accept
+            stats["accepted"] += 1
             t = t + h
             xc = x_new
             k1 = k4
@@ -533,8 +515,8 @@ def simulate(state0: ParticleState, pot: Potential, alpha: float,
 
             gaps = np.diff(xc)
             opp_gaps = gaps[seg.opp]
-            event = _extrapolate_event(seg, xc, gaps, prev_opp_gaps, t,
-                                       t_prev, p, r_trig, r_cluster)
+            event = _extrapolate_event(seg.opp, seg.idx, gaps, prev_opp_gaps,
+                                       t, t_prev, p, r_trig, r_cluster)
             prev_opp_gaps = opp_gaps.copy()
             t_prev = t
 
@@ -551,23 +533,24 @@ def simulate(state0: ParticleState, pot: Potential, alpha: float,
         tau = min(max(tau, t), t_end)
         st = _finalize_event(seg.state(tau, xc), tau, clusters, events, opts)
         t, x_full, b_full = st.t, st.x.copy(), st.b.copy()
-        seg_post = _Segment(x_full, b_full, t, pot, alpha, field, opts)
-        seg_post.record(diag, t, seg_post.xc)
         while eval_queue and t >= eval_queue[0] - 1e-12 * max(1.0, abs(t)):
             snapshots.append(ParticleState(eval_queue.pop(0), x_full, b_full))
 
     final = ParticleState(t, x_full, b_full)
     while eval_queue and eval_queue[0] <= t_end + 1e-12:
         snapshots.append(ParticleState(eval_queue.pop(0), x_full, b_full))
-    return SimulationResult(final, events, diag, snapshots)
+    return SimulationResult(final, events, diag, snapshots, stats)
 
 
-def _extrapolate_event(seg, xc, gaps, prev_opp_gaps, t, t_prev, p,
+def _extrapolate_event(opp, idx, gaps, prev_opp_gaps, t, t_prev, p,
                        r_trig, r_cluster):
-    """Fit d^p affine through the last two gap samples of triggered pairs."""
-    if seg.m < 2:
-        return None
-    opp_gaps = gaps[seg.opp]
+    """Fit d^p affine through the last two gap samples of triggered pairs.
+
+    ``opp`` marks the opposite-sign neighbor slots among the charged
+    particles ``idx`` (global indices, in spatial order); ``gaps`` are their
+    current neighbor gaps.
+    """
+    opp_gaps = gaps[opp]
     if not len(opp_gaps) or len(prev_opp_gaps) != len(opp_gaps) or t <= t_prev:
         return None
     under = opp_gaps < r_trig
@@ -581,11 +564,11 @@ def _extrapolate_event(seg, xc, gaps, prev_opp_gaps, t, t_prev, p,
     tau = float(np.min(taus))
     # clusters: chains of charged neighbors within r_cluster holding a
     # triggered pair; fired_left holds left neighbor-slot indices
-    fired_left = set(int(v) for v in np.flatnonzero(seg.opp)[closing])
+    fired_left = set(int(v) for v in np.flatnonzero(opp)[closing])
     near = gaps <= r_cluster
     clusters = []
     k = 0
-    mloc = seg.m
+    mloc = len(idx)
     while k < mloc - 1:
         if near[k]:
             j = k
@@ -593,7 +576,7 @@ def _extrapolate_event(seg, xc, gaps, prev_opp_gaps, t, t_prev, p,
                 j += 1
             members = list(range(k, j + 1))
             if any(q in fired_left for q in range(k, j)):
-                clusters.append([int(seg.idx[q]) for q in members])
+                clusters.append([int(idx[q]) for q in members])
             k = j
         k += 1
     if not clusters:

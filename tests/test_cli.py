@@ -40,7 +40,7 @@ def test_check_potential_failure_exit_code(tmp_path):
     assert code == 2
 
 
-def test_simulate_writes_outputs(tmp_path):
+def test_simulate_writes_outputs(tmp_path, capsys):
     cfg = _write_cfg(tmp_path, {
         "initial": {"kind": "particles", "x": [-0.5, 0.5], "b": [1, -1]},
         "potential": {"kind": "log"},
@@ -56,6 +56,9 @@ def test_simulate_writes_outputs(tmp_path):
     assert traj.read_text().splitlines()[0] == "t,x_0,x_1,b_0,b_1"
     ev = json.loads(events.read_text().splitlines()[0])
     assert ev["b_after"] == [0, 0]
+    summary = capsys.readouterr().out
+    assert "accepted" in summary and "rejected" in summary
+    assert "force evaluations" in summary
 
 
 def test_pde_subcommand(tmp_path):

@@ -1,13 +1,16 @@
 """Particle dynamics: forces, collisions, annihilation, invariants."""
 
+import math
+
 import numpy as np
 import pytest
 
 from signedflow import (InvariantViolationError, IntegratorOptions,
                         ParticleState, SingularConfigurationError, annihilate,
                         detect_collision, energy, log_potential,
-                        power_law_force_potential, simulate,
+                        power_law_force_potential, riesz_potential, simulate,
                         stability_experiment, velocities, wall_potential)
+from signedflow.dynamics import _Segment
 from signedflow.potentials import make_field
 
 
@@ -59,6 +62,76 @@ def test_rhs_singular_configuration():
         velocities(st, log_potential(), 1.0)
 
 
+def test_velocities_raise_on_coincident_charges():
+    # called directly, without validate(): the kernel itself must refuse
+    st = ParticleState(0.0, [-1.0, 0.5, 0.2, 0.5], [1, 1, 0, -1])
+    with pytest.raises(SingularConfigurationError):
+        velocities(st, log_potential(), 1.0)
+    with pytest.raises(SingularConfigurationError):
+        energy(st, log_potential(), 1.0)
+    # a neutral particle on top of a charged one exerts no force
+    ok = ParticleState(0.0, [-1.0, 0.5, 0.5], [1, 0, -1])
+    assert np.all(np.isfinite(velocities(ok, log_potential(), 1.0)))
+
+
+def _pair_reference(st, pot, alpha, fld):
+    """Velocities and energy by a direct double loop over (i, j)."""
+    n = st.n
+    idx = [int(i) for i in st.charged_indices]
+    vel = np.zeros(n)
+    scale = np.zeros(n)   # sum of term magnitudes: the conditioning of vel_i
+    e_pairs = []
+    for i in idx:
+        terms = []
+        for j in idx:
+            if j == i:
+                continue
+            d = float(st.x[i] - st.x[j])
+            terms.append(st.b[i] * st.b[j] * float(pot.force(d, alpha)) / n)
+            if j > i:
+                e_pairs.append(st.b[i] * st.b[j] * alpha
+                               * float(pot.deriv(alpha * d, 0)) / n ** 2)
+        if fld is not None:
+            terms.append(st.b[i] * float(fld.g(np.array([st.x[i]]))[0]))
+        vel[i] = math.fsum(terms)
+        scale[i] = math.fsum(abs(v) for v in terms)
+    if fld is not None:
+        e_pairs += [st.b[i] * float(fld.u(np.array([st.x[i]]))[0]) / n
+                    for i in idx]
+    return vel, scale, math.fsum(e_pairs), math.fsum(abs(v) for v in e_pairs)
+
+
+@pytest.mark.parametrize("case", ["field", "unordered"])
+@pytest.mark.parametrize("potname", ["log", "wall", "riesz", "power"])
+def test_pair_kernel_matches_double_loop(potname, case):
+    # 200 charged particles: 19,900 pairs, several chunks of the pair sweep
+    pot = {"log": log_potential(), "wall": wall_potential(),
+           "riesz": riesz_potential(0.5),
+           "power": power_law_force_potential(0.5)}[potname]
+    rng = np.random.default_rng(11)
+    x = np.sort(rng.uniform(-1.0, 1.0, 230))
+    b = rng.choice([-1, 1], 230)
+    b[rng.choice(230, 30, replace=False)] = 0
+    fld = None
+    if case == "field":
+        fld = make_field({"kind": "harmonic", "k": 4.0})
+    else:
+        # one swapped charged pair, as at an unordered stage point
+        i, j = np.flatnonzero(b)[[100, 101]]
+        x[i], x[j] = x[j], x[i]
+    st = ParticleState(0.0, x, b)
+    assert len(st.charged_indices) == 200
+    alpha = 2.0
+    ref_v, ref_scale, ref_e, ref_escale = _pair_reference(st, pot, alpha, fld)
+    v = velocities(st, pot, alpha, fld)
+    assert np.all(np.abs(v - ref_v) <= 1e-12 * ref_scale)
+    assert np.all(v[b == 0] == 0.0)
+    e = energy(st, pot, alpha, fld)
+    assert abs(e - ref_e) <= 1e-12 * ref_escale
+    seg = _Segment(st.x, st.b, pot, alpha, fld)
+    assert seg.energy(seg.xc) == e
+
+
 def test_rhs_bitwise_deterministic():
     rng = np.random.default_rng(7)
     st = ParticleState(0.0, np.sort(rng.uniform(-1, 1, 30)), rng.choice([-1, 1], 30))
@@ -91,6 +164,20 @@ def test_power_law_oracle(a):
     st = ParticleState(0.0, [-d0 / 2, d0 / 2], [1, -1])
     res = simulate(st, pot, 1.0, None, max(0.1, 1.1 * d0 ** (2 + a)))
     assert res.events.events[0].tau == pytest.approx(d0 ** (2 + a), rel=1e-5)
+
+
+def test_simulation_stats_count_steps_and_evaluations():
+    st = ParticleState(0.0, [-0.6, -0.2, 0.0, 0.6], [1, -1, 1, 1])
+    res = simulate(st, log_potential(), 1.0, None, 2.0)
+    s = res.stats
+    batches = len({ev.tau for ev in res.events})
+    assert batches >= 1
+    # diagnostics: one row at the start, per accepted step, per event batch
+    assert s["accepted"] == len(res.diagnostics.t) - 1 - batches
+    attempts = s["accepted"] + s["rejected"]
+    # three evaluations per attempt (two when the stage is unordered), plus
+    # one at the start of each segment between events
+    assert 2 * attempts + 1 + batches <= s["force_evals"] <= 3 * attempts + 1 + batches
 
 
 def test_single_particle_stationary():
