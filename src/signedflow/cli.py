@@ -17,8 +17,7 @@ from .dynamics import IntegratorOptions, simulate
 from .errors import SignedFlowError
 from .hamiltonians import TestFunction, quartic_probe_sweep, rhs_convergence_table
 from .harness import (ExperimentConfig, convergence_csv, fit_collision_exponent,
-                      run_convergence)
-from .pde import GridFunction, solve_local, solve_nonlocal
+                      run_convergence, solve_limit_equation)
 from .potentials import audit_assumptions, make_potential
 
 EXIT_OK = 0
@@ -38,8 +37,7 @@ def _cmd_simulate(args) -> int:
     if st0 is None:
         from .harness import quantile_particles
         st0 = quantile_particles(cfg.density(), int(cfg.n_list[0]))
-    field = None if (cfg.field is None or cfg.field.get("kind", "none") == "none") else fld
-    res = simulate(st0, pot, reg.alpha_of(st0.n), field, cfg.t_end,
+    res = simulate(st0, pot, reg.alpha_of(st0.n), fld, cfg.t_end,
                    IntegratorOptions(rk_tol=cfg.tolerances["rk_tol"]),
                    t_eval=cfg.snapshot_times or None)
     if args.traj:
@@ -57,25 +55,11 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_pde(args) -> int:
     cfg = _load_cfg(args.config)
-    pot, reg, fld = cfg.build()
-    m = args.m if args.m is not None else reg.m
-    dens = cfg.density()
-    half = float(cfg.grid["half_width"])
-    nodes = int(cfg.grid["nodes"])
-    xs = np.linspace(-half, half, nodes)
-    dx = xs[1] - xs[0]
-    u0 = GridFunction(-half, dx, dens.primitive(xs), 0.0,
-                      float(dens.primitive(np.array([half + 1.0]))[0]))
-    field = None if (cfg.field is None or cfg.field.get("kind", "none") == "none") else fld
-    if m == 1:
-        out, info = solve_nonlocal(u0, pot, reg.alpha, field, cfg.t_end,
-                                   rho=float(cfg.grid.get("rho", 0.5)),
-                                   quad_tol=cfg.tolerances["quad_tol"])
-    else:
-        out, info = solve_local(u0, m, pot, reg.beta, field, cfg.t_end)
+    out, info = solve_limit_equation(cfg, args.m)
     if args.out:
         with open(args.out, "w") as fh:
             fh.write(out.to_csv() + "\n")
+    m = args.m if args.m is not None else cfg.regime["m"]
     print(f"pde m={m}: {info.steps} steps, max-principle violation "
           f"{info.max_principle_violation:.2e}")
     return EXIT_OK if info.max_principle_violation <= 1e-10 else EXIT_ASSERTION
@@ -154,8 +138,7 @@ def _cmd_fit_exponent(args) -> int:
     cfg = _load_cfg(args.config)
     pot, reg, fld = cfg.build()
     st0 = cfg.particles()
-    field = None if (cfg.field is None or cfg.field.get("kind", "none") == "none") else fld
-    res = simulate(st0, pot, reg.alpha_of(st0.n), field, cfg.t_end,
+    res = simulate(st0, pot, reg.alpha_of(st0.n), fld, cfg.t_end,
                    IntegratorOptions(rk_tol=cfg.tolerances["rk_tol"]))
     fit = fit_collision_exponent(res)
     a = pot.singularity_exponent if pot.singularity_exponent is not None else 0.0

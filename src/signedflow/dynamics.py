@@ -158,7 +158,6 @@ class IntegratorOptions:
     cluster_factor: float = 8.0      # cluster radius = factor * trigger radius
     h_collision_floor: float = 1e-13
     spacing_tol: float = 1e-12
-    exponent: float | None = None    # override for the singularity exponent a
     record_energy: bool = True
     max_steps: int = 2_000_000
 
@@ -421,9 +420,7 @@ def simulate(state0: ParticleState, pot: Potential, alpha: float,
         warnings.warn(
             f"potential '{pot.name}' violates the monotone force conditions; "
             "collision handling assumes f >= 0 and f' <= 0", RuntimeWarning)
-    a_exp = opts.exponent
-    if a_exp is None:
-        a_exp = pot.singularity_exponent if pot.singularity_exponent is not None else 0.0
+    a_exp = pot.singularity_exponent if pot.singularity_exponent is not None else 0.0
     p = 2.0 + a_exp
     r_trig = opts.trigger_radius(a_exp)
     r_cluster = opts.cluster_radius(a_exp)
@@ -441,7 +438,6 @@ def simulate(state0: ParticleState, pot: Potential, alpha: float,
     for _ in range(n_snap_start):
         snapshots.append(ParticleState(t, x_full, b_full))
 
-    steps = 0
     stats = {"accepted": 0, "rejected": 0, "force_evals": 0}
 
     while True:
@@ -458,8 +454,7 @@ def simulate(state0: ParticleState, pot: Potential, alpha: float,
         event = None
 
         while t < t_end - 1e-300:
-            steps += 1
-            if steps > opts.max_steps:
+            if stats["accepted"] + stats["rejected"] >= opts.max_steps:
                 raise StiffnessError("step budget exhausted",
                                      {"t": t, "n_charged": seg.m})
             gaps = np.diff(xc)
@@ -520,8 +515,8 @@ def simulate(state0: ParticleState, pot: Potential, alpha: float,
             prev_opp_gaps = opp_gaps.copy()
             t_prev = t
 
-            while eval_queue and t >= eval_queue[0] - 1e-12 * max(1.0, abs(t)):
-                snapshots.append(seg.state(eval_queue.pop(0), xc))
+            for tv in _pop_due(eval_queue, t, 1e-12 * max(1.0, abs(t))):
+                snapshots.append(seg.state(tv, xc))
             if event is not None:
                 break
 
@@ -533,13 +528,21 @@ def simulate(state0: ParticleState, pot: Potential, alpha: float,
         tau = min(max(tau, t), t_end)
         st = _finalize_event(seg.state(tau, xc), tau, clusters, events, opts)
         t, x_full, b_full = st.t, st.x.copy(), st.b.copy()
-        while eval_queue and t >= eval_queue[0] - 1e-12 * max(1.0, abs(t)):
-            snapshots.append(ParticleState(eval_queue.pop(0), x_full, b_full))
+        for tv in _pop_due(eval_queue, t, 1e-12 * max(1.0, abs(t))):
+            snapshots.append(ParticleState(tv, x_full, b_full))
 
     final = ParticleState(t, x_full, b_full)
-    while eval_queue and eval_queue[0] <= t_end + 1e-12:
-        snapshots.append(ParticleState(eval_queue.pop(0), x_full, b_full))
+    for tv in _pop_due(eval_queue, t_end, 1e-12):
+        snapshots.append(ParticleState(tv, x_full, b_full))
     return SimulationResult(final, events, diag, snapshots, stats)
+
+
+def _pop_due(queue, t, tol):
+    """Pop and return the leading requested times reached at t (within tol)."""
+    due = []
+    while queue and t >= queue[0] - tol:
+        due.append(queue.pop(0))
+    return due
 
 
 def _extrapolate_event(opp, idx, gaps, prev_opp_gaps, t, t_prev, p,

@@ -30,6 +30,7 @@ __all__ = [
     "quartic_envelope",
     "quantile_particles",
     "run_convergence",
+    "solve_limit_equation",
     "ExponentFit",
     "fit_exponent_from_series",
     "fit_collision_exponent",
@@ -184,11 +185,13 @@ class ExperimentConfig:
         return hashlib.sha256(blob.encode()).hexdigest()[:16]
 
     def build(self):
+        """(potential, regime, field); the field is None when there is none."""
         pot = make_potential(self.potential)
         reg = ScalingRegime(m=self.regime["m"],
                             alpha=self.regime.get("alpha", 1.0),
                             beta=self.regime.get("beta", 1.0))
-        fld = make_field(self.field)
+        no_field = self.field is None or self.field.get("kind", "none") == "none"
+        fld = None if no_field else make_field(self.field)
         return pot, reg, fld
 
     def density(self) -> SignedDensity:
@@ -312,6 +315,28 @@ def quartic_envelope(xs, phi, K: float, touch_tol: float = 1e-8,
 # convergence experiment
 # ---------------------------------------------------------------------------
 
+def solve_limit_equation(cfg: ExperimentConfig, m: int | None = None,
+                         t_eval=None):
+    """Solve the config's limit equation from its density primitive.
+
+    The grid is ``cfg.grid``; ``m`` defaults to the config's regime, and
+    m = 1 selects the nonlocal solver.  Returns (GridFunction, SolveInfo).
+    """
+    pot, reg, fld = cfg.build()
+    m = reg.m if m is None else m
+    dens = cfg.density()
+    half = float(cfg.grid["half_width"])
+    xs = np.linspace(-half, half, int(cfg.grid["nodes"]))
+    u0 = GridFunction(-half, xs[1] - xs[0], dens.primitive(xs),
+                      0.0, float(dens.primitive(np.array([half + 1.0]))[0]))
+    if m == 1:
+        return solve_nonlocal(u0, pot, reg.alpha, fld, cfg.t_end,
+                              rho=float(cfg.grid.get("rho", 0.5)),
+                              quad_tol=cfg.tolerances["quad_tol"],
+                              t_eval=t_eval)
+    return solve_local(u0, m, pot, reg.beta, fld, cfg.t_end, t_eval=t_eval)
+
+
 def run_convergence(cfg: ExperimentConfig, progress=None) -> dict:
     """Simulate each n, solve the limit equation once, and compare the
     cumulative charge staircases with the grid solution in sup norm.
@@ -323,25 +348,9 @@ def run_convergence(cfg: ExperimentConfig, progress=None) -> dict:
     pot, reg, fld = cfg.build()
     dens = cfg.density()
     tol = cfg.tolerances
+    sol, info = solve_limit_equation(cfg, t_eval=cfg.snapshot_times)
     half = float(cfg.grid["half_width"])
-    nodes = int(cfg.grid["nodes"])
-    xs = np.linspace(-half, half, nodes)
-    dx = xs[1] - xs[0]
-    u0 = GridFunction(-half, dx, dens.primitive(xs),
-                      0.0, float(dens.primitive(np.array([half + 1.0]))[0]))
-    field_or_none = None if (cfg.field is None or cfg.field.get("kind", "none") == "none") else fld
-
-    if reg.m == 1:
-        _, info = solve_nonlocal(u0, pot, reg.alpha, field_or_none, cfg.t_end,
-                                 rho=float(cfg.grid.get("rho", 0.5)),
-                                 quad_tol=tol["quad_tol"],
-                                 t_eval=cfg.snapshot_times)
-    else:
-        _, info = solve_local(u0, reg.m, pot, reg.beta, field_or_none,
-                              cfg.t_end, t_eval=cfg.snapshot_times)
-    pde_snaps = info.snapshots
-
-    margin = cfg.window_margin_cells * dx
+    margin = cfg.window_margin_cells * sol.dx
     window = (-half + margin, half - margin)
     opts = IntegratorOptions(rk_tol=tol["rk_tol"])
 
@@ -349,11 +358,11 @@ def run_convergence(cfg: ExperimentConfig, progress=None) -> dict:
     events_total = 0
     for n in cfg.n_list:
         st0 = quantile_particles(dens, int(n))
-        res = simulate(st0, pot, reg.alpha_of(int(n)), field_or_none,
+        res = simulate(st0, pot, reg.alpha_of(int(n)), fld,
                        cfg.t_end, opts, t_eval=cfg.snapshot_times)
         events_total += len(res.events)
-        for (tk, uv), snap in zip(pde_snaps, res.snapshots):
-            g = GridFunction(-half, dx, uv, u0.far_left, u0.far_right)
+        for (tk, uv), snap in zip(info.snapshots, res.snapshots):
+            g = GridFunction(sol.x0, sol.dx, uv, sol.far_left, sol.far_right)
             d = sup_distance(cumulative_charge(snap), g, window)
             rows.append({"n": int(n), "t": float(tk), "distance": float(d)})
         if progress:

@@ -151,6 +151,39 @@ class SolveInfo:
     snapshots: list = dc_field(default_factory=list)
 
 
+def _march(u0: GridFunction, t_end: float, t_eval, cfl_safety: float, scheme):
+    """Explicit time loop shared by both solvers.
+
+    ``scheme(u)`` returns ``(dt_stable, advance)``, where ``advance(dt)``
+    returns the values one step of size ``dt`` later.  The step is
+    ``cfl_safety * dt_stable`` clipped to land on ``t_end`` and on each
+    requested snapshot time; snapshots at times <= 0 are the initial values.
+    """
+    u = u0.values.copy()
+    info = SolveInfo()
+    eval_queue = sorted(float(tv) for tv in (t_eval if t_eval is not None else []))
+    while eval_queue and eval_queue[0] <= 0.0:
+        info.snapshots.append((eval_queue.pop(0), u.copy()))
+    lo0, hi0 = float(np.min(u)), float(np.max(u))
+    t = 0.0
+    while t < t_end - 1e-300:
+        dt_stable, advance = scheme(u)
+        dt = min(cfl_safety * dt_stable, t_end - t)
+        if eval_queue:
+            dt = min(dt, eval_queue[0] - t)
+        dt = max(dt, 1e-15)
+        u = advance(dt)
+        t += dt
+        info.steps += 1
+        info.dt_min = min(info.dt_min, dt)
+        over = max(float(np.max(u)) - hi0, lo0 - float(np.min(u)), 0.0)
+        info.max_principle_violation = max(info.max_principle_violation, over)
+        while eval_queue and t >= eval_queue[0] - 1e-12:
+            info.snapshots.append((eval_queue.pop(0), u.copy()))
+
+    return GridFunction(u0.x0, u0.dx, u, u0.far_left, u0.far_right), info
+
+
 def solve_local(u0: GridFunction, m: int, pot: Potential, beta: float,
                 field: ExternalField | None, t_end: float,
                 cfl_safety: float = 0.45, mobility_tol: float = 1e-8,
@@ -163,98 +196,71 @@ def solve_local(u0: GridFunction, m: int, pot: Potential, beta: float,
     if m not in (2, 3):
         raise ValueError("local solver covers m = 2 and m = 3")
     regime = ScalingRegime(m=m, beta=beta)
-    u = u0.values.copy()
     dx = u0.dx
-    n = len(u)
-    xs = u0.xs
-    uprime = np.zeros(n) if field is None else np.asarray(
-        field.uprime(xs), dtype=float)
+    uprime = np.zeros(u0.n) if field is None else np.asarray(
+        field.uprime(u0.xs), dtype=float)
     max_up = float(np.max(np.abs(uprime)))
 
-    slopes0 = np.abs(np.diff(u)) / dx
+    slopes0 = np.abs(np.diff(u0.values)) / dx
     p_max = max(2.0 * float(np.max(slopes0, initial=0.0)), 1.0)
     table = MobilityTable.build(pot, regime, p_max, tol=mobility_tol)
 
-    info = SolveInfo()
-    eval_queue = sorted(float(tv) for tv in (t_eval if t_eval is not None else []))
-    lo0, hi0 = float(np.min(u)), float(np.max(u))
-    t = 0.0
-    while t < t_end - 1e-300:
+    def scheme(u):
+        nonlocal table
         d = np.diff(u) / dx
         if float(np.max(np.abs(d), initial=0.0)) > table.p_max:
             table = MobilityTable.build(pot, regime,
                                         2.0 * float(np.max(np.abs(d))),
                                         tol=mobility_tol)
-        fvals = table.f_of(d)
-        fmax = float(np.max(fvals, initial=0.0))
+        fmax = float(np.max(table.f_of(d), initial=0.0))
         if fmax > overflow_guard:
             raise ConvergenceError("mobility exceeded the overflow guard")
         dt_diff = dx ** 2 / (2.0 * fmax) if fmax > 0 else math.inf
         dt_adv = dx / max_up if max_up > 0 else math.inf
-        dt = cfl_safety * min(dt_diff, dt_adv)
-        dt = min(dt, t_end - t)
-        if eval_queue:
-            dt = min(dt, eval_queue[0] - t)
-        dt = max(dt, 1e-15)
-
         g = table.g_of(d)
-        unew = u.copy()
-        unew[1:-1] += dt / dx * (g[1:] - g[:-1])
-        if max_up > 0:
-            dm = d[:-1]
-            dp = d[1:]
-            unew[1:-1] += dt * _upwind_transport(uprime[1:-1], dm, dp)
-        u = unew
-        t += dt
-        info.steps += 1
-        info.dt_min = min(info.dt_min, dt)
-        over = max(float(np.max(u)) - hi0, lo0 - float(np.min(u)), 0.0)
-        info.max_principle_violation = max(info.max_principle_violation, over)
-        while eval_queue and t >= eval_queue[0] - 1e-12:
-            info.snapshots.append((eval_queue.pop(0), u.copy()))
 
-    out = GridFunction(u0.x0, dx, u, u0.far_left, u0.far_right)
-    return out, info
+        def advance(dt):
+            unew = u.copy()
+            unew[1:-1] += dt / dx * (g[1:] - g[:-1])
+            if max_up > 0:
+                unew[1:-1] += dt * _upwind_transport(uprime[1:-1], d[:-1], d[1:])
+            return unew
+        return min(dt_diff, dt_adv), advance
+
+    return _march(u0, t_end, t_eval, cfl_safety, scheme)
 
 
 # ---------------------------------------------------------------------------
 # nonlocal solver
 # ---------------------------------------------------------------------------
 
-def _farfield_matrices(pot: Potential, alpha: float, xs: np.ndarray,
-                       dx: float, k_off: int):
-    """Per (node, segment) closed-form integrals over the annulus.
+def _farfield_kernels(pot: Potential, alpha: float, dx: float, n: int,
+                      k_off: int):
+    """Closed-form annulus integrals as kernels of the offset k = j - i.
 
     For segment j = [x_j, x_{j+1}] and node i, with z measured from x_i,
     int (c + s z) V_alpha''(z) dz = c dVp + s dW over the segment, where
     Vp = V_alpha' (odd) and W(z) = z V_alpha'(z) - V_alpha(z) (even).
+    Returns dVp and dW - z_left dVp, the weights of u_j and of the slope s_j,
+    as arrays of length 2n - 2 whose entry k + n - 1 is offset k in
+    [-(n - 1), n - 2].  Segments within k_off cells of the node (the ball)
+    weigh zero, so V is only evaluated at |z| >= k_off dx.
     """
-    n = len(xs)
-    j = np.arange(n - 1)
-    i = np.arange(n)
-    zl = dx * (j[None, :] - i[:, None])          # segment left offset
-    zr = zl + dx
-    # annulus: segments fully beyond the ball radius k_off*dx
-    outside = (j[None, :] >= i[:, None] + k_off) | \
-              (j[None, :] + 1 <= i[:, None] - k_off)
+    z = dx * np.arange(k_off, n)               # annulus edges, right of x_i
+    vp = alpha ** 2 * pot.deriv(alpha * z, 1)
+    w = z * vp - alpha * pot.deriv(alpha * z, 0)
+    d_vp, d_w = np.diff(vp), np.diff(w)         # segments k = k_off .. n-2
+    ball = np.zeros(2 * (n - 1 - len(d_vp)))
+    # the mirror segment k' = -1 - k has dVp(k') = dVp(k), dW(k') = -dW(k)
+    dvp = np.concatenate([d_vp[::-1], ball, d_vp])
+    dwc = np.concatenate([(z[1:] * d_vp - d_w)[::-1], ball,
+                          d_w - z[:-1] * d_vp])
+    return dvp, dwc
 
-    def vp(z):
-        out = np.zeros_like(z)
-        mask = z != 0
-        out[mask] = alpha ** 2 * pot.deriv(alpha * z[mask], 1)
-        return out
 
-    def w(z):
-        out = np.zeros_like(z)
-        mask = z != 0
-        za = z[mask]
-        out[mask] = za * alpha ** 2 * pot.deriv(alpha * za, 1) \
-            - alpha * pot.deriv(alpha * za, 0)
-        return out
-
-    dvp = np.where(outside, vp(zr) - vp(zl), 0.0)
-    dw = np.where(outside, w(zr) - w(zl), 0.0)
-    return dvp, dw, zl
+def _apply_kernel(kernel: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """sum_j kernel[j - i] v_j for each node i (kernel from _farfield_kernels)."""
+    return np.correlate(kernel, v, "valid")[::-1]
 
 
 def solve_nonlocal(u0: GridFunction, pot: Potential, alpha: float,
@@ -267,18 +273,14 @@ def solve_nonlocal(u0: GridFunction, pot: Potential, alpha: float,
     The ball radius snaps to a whole number of cells (at least 2).  Velocity
     overflow raises with a grid-refinement hint.
     """
-    u = u0.values.copy()
     dx = u0.dx
-    n = len(u)
+    n = u0.n
     xs = u0.xs
     k_off = max(2, int(round(rho / dx)))
     rho_eff = k_off * dx
     i2 = kernel_second_moment(pot, alpha, rho_eff, quad_tol)
-    dvp, dw, _ = _farfield_matrices(pot, alpha, xs, dx, k_off)
-    row_dvp = dvp.sum(axis=1)
-    xseg = xs[:-1]
-    cmat = (xseg[None, :] - xs[:, None]) * dvp
-    dw_minus_c = dw - cmat
+    dvp, dwc = _farfield_kernels(pot, alpha, dx, n, k_off)
+    row_dvp = _apply_kernel(dvp, np.ones(n - 1))
 
     # constant tails beyond the grid (or beyond the ball for edge nodes)
     r_left = np.maximum(rho_eff, xs - xs[0])
@@ -289,16 +291,11 @@ def solve_nonlocal(u0: GridFunction, pot: Potential, alpha: float,
     uprime = np.zeros(n) if field is None else np.asarray(
         field.uprime(xs), dtype=float)
 
-    info = SolveInfo()
-    eval_queue = sorted(float(tv) for tv in (t_eval if t_eval is not None else []))
-    lo0, hi0 = float(np.min(u)), float(np.max(u))
-    t = 0.0
-    while t < t_end - 1e-300:
+    def scheme(u):
         s = np.diff(u) / dx
         uxx = np.zeros(n)
         uxx[1:-1] = (u[2:] - 2 * u[1:-1] + u[:-2]) / dx ** 2
-        far = (dvp * u[:-1][None, :]).sum(axis=1) - u * row_dvp \
-            + (dw_minus_c * s[None, :]).sum(axis=1)
+        far = _apply_kernel(dvp, u[:-1]) - u * row_dvp + _apply_kernel(dwc, s)
         far += (u0.far_left - u) * vp_left + (u0.far_right - u) * vp_right
         vel = 0.5 * i2 * uxx + far + uprime
         vmax = float(np.max(np.abs(vel)))
@@ -308,24 +305,11 @@ def solve_nonlocal(u0: GridFunction, pot: Potential, alpha: float,
         ux_max = float(np.max(np.abs(s), initial=0.0))
         dt_adv = dx / vmax if vmax > 0 else math.inf
         dt_diff = dx ** 2 / (i2 * ux_max) if i2 * ux_max > 0 else math.inf
-        dt = cfl_safety * min(dt_adv, dt_diff)
-        dt = min(dt, t_end - t)
-        if eval_queue:
-            dt = min(dt, eval_queue[0] - t)
-        dt = max(dt, 1e-15)
 
-        unew = u.copy()
-        dm = s[:-1]
-        dp = s[1:]
-        unew[1:-1] += dt * _upwind_transport(vel[1:-1], dm, dp)
-        u = unew
-        t += dt
-        info.steps += 1
-        info.dt_min = min(info.dt_min, dt)
-        over = max(float(np.max(u)) - hi0, lo0 - float(np.min(u)), 0.0)
-        info.max_principle_violation = max(info.max_principle_violation, over)
-        while eval_queue and t >= eval_queue[0] - 1e-12:
-            info.snapshots.append((eval_queue.pop(0), u.copy()))
+        def advance(dt):
+            unew = u.copy()
+            unew[1:-1] += dt * _upwind_transport(vel[1:-1], s[:-1], s[1:])
+            return unew
+        return min(dt_adv, dt_diff), advance
 
-    out = GridFunction(u0.x0, dx, u, u0.far_left, u0.far_right)
-    return out, info
+    return _march(u0, t_end, t_eval, cfl_safety, scheme)

@@ -203,6 +203,80 @@ def test_one_step_flux_identity(wall_l1):
     assert mass_change == pytest.approx(flux_change, abs=1e-14)
 
 
+@pytest.mark.parametrize("solve", [
+    lambda u0, t, t_eval: solve_local(u0, 2, WALL, 1.0, None, t, t_eval=t_eval),
+    lambda u0, t, t_eval: solve_nonlocal(u0, LOGP, 1.0, None, t, t_eval=t_eval),
+], ids=["local", "nonlocal"])
+def test_snapshot_at_time_zero_takes_no_step(solve):
+    # a request at t <= 0 is the initial data, not a forced tiny step
+    xs = np.linspace(-2, 2, 129)
+    vals = 0.5 * (1 + np.tanh(2 * xs))
+    vals[0] = vals[1]; vals[-1] = vals[-2]
+    u0 = GridFunction(-2.0, xs[1] - xs[0], vals, vals[0], vals[-1])
+    out, info = solve(u0, 0.02, [0.02, 0.0, -1.0])
+    ref, ref_info = solve(u0, 0.02, [0.02])
+    assert [t for t, _ in info.snapshots] == [-1.0, 0.0, 0.02]
+    assert np.array_equal(info.snapshots[0][1], u0.values)
+    assert np.array_equal(info.snapshots[1][1], u0.values)
+    assert info.steps == ref_info.steps
+    assert info.dt_min == ref_info.dt_min
+    assert np.array_equal(out.values, ref.values)
+
+
+def _dense_farfield(pot, alpha, xs, dx, k_off, u):
+    """Far-field velocity from per (node, segment) annulus integrals."""
+    n = len(xs)
+    j = np.arange(n - 1)
+    i = np.arange(n)
+    zl = dx * (j[None, :] - i[:, None])
+    zr = zl + dx
+    outside = (j[None, :] >= i[:, None] + k_off) | \
+              (j[None, :] + 1 <= i[:, None] - k_off)
+
+    def vp(z):
+        out = np.zeros_like(z)
+        mask = z != 0
+        out[mask] = alpha ** 2 * pot.deriv(alpha * z[mask], 1)
+        return out
+
+    def w(z):
+        out = np.zeros_like(z)
+        mask = z != 0
+        za = z[mask]
+        out[mask] = za * alpha ** 2 * pot.deriv(alpha * za, 1) \
+            - alpha * pot.deriv(alpha * za, 0)
+        return out
+
+    dvp = np.where(outside, vp(zr) - vp(zl), 0.0)
+    dwc = np.where(outside, w(zr) - w(zl), 0.0) \
+        - (xs[:-1][None, :] - xs[:, None]) * dvp
+    s = np.diff(u) / dx
+    far = (dvp * u[:-1]).sum(axis=1) - u * dvp.sum(axis=1) \
+        + (dwc * s).sum(axis=1)
+    scale = (np.abs(dvp) * np.abs(u[:-1])).sum(axis=1) \
+        + np.abs(u * dvp.sum(axis=1)) + (np.abs(dwc) * np.abs(s)).sum(axis=1)
+    return far, scale
+
+
+@pytest.mark.parametrize("pot, alpha", [(LOGP, 1.0), (WALL, 2.0)],
+                         ids=["log", "wall"])
+@pytest.mark.parametrize("n", [64, 257])
+def test_farfield_kernels_match_dense_reference(pot, alpha, n):
+    from signedflow.pde import _apply_kernel, _farfield_kernels
+    rng = np.random.default_rng(n)
+    xs = np.linspace(-2.0, 2.0, n)
+    dx = xs[1] - xs[0]
+    u = np.cumsum(rng.uniform(-1.0, 1.0, n)) * dx
+    for k_off in (2, n // 2, n - 1):
+        ref, scale = _dense_farfield(pot, alpha, xs, dx, k_off, u)
+        dvp, dwc = _farfield_kernels(pot, alpha, dx, n, k_off)
+        assert dvp.shape == dwc.shape == (2 * n - 2,)
+        row = _apply_kernel(dvp, np.ones(n - 1))
+        far = _apply_kernel(dvp, u[:-1]) - u * row \
+            + _apply_kernel(dwc, np.diff(u) / dx)
+        assert np.all(np.abs(far - ref) <= 1e-12 * scale), k_off
+
+
 def test_antisymmetry_preserved_nonlocal():
     xs = np.linspace(-2, 2, 201)
     dx = xs[1] - xs[0]
