@@ -49,7 +49,8 @@ def _cmd_simulate(args) -> int:
     s = res.stats
     print(f"simulated n={st0.n} to t={cfg.t_end}: {len(res.events)} events, "
           f"{s['accepted']} accepted steps, {s['rejected']} rejected, "
-          f"{s['force_evals']} force evaluations")
+          f"{s['force_evals']} force evaluations, "
+          f"{s['gap_capped']} steps set by the gap cap")
     return EXIT_OK
 
 

@@ -18,6 +18,7 @@ force), which both caps the step size and extrapolates the collision time.
 from __future__ import annotations
 
 import json
+import math
 import warnings
 from dataclasses import dataclass, field
 
@@ -93,13 +94,19 @@ class ParticleState:
     def min_gaps(self):
         """(d_plus, d_minus, min opposite-sign gap); inf when absent."""
         gaps, bl, br = self.neighbor_gaps()
-        same_p = (bl == 1) & (br == 1)
-        same_m = (bl == -1) & (br == -1)
-        opp = bl * br == -1
-        dp = float(np.min(gaps[same_p])) if np.any(same_p) else np.inf
-        dm = float(np.min(gaps[same_m])) if np.any(same_m) else np.inf
-        do = float(np.min(gaps[opp])) if np.any(opp) else np.inf
-        return dp, dm, do
+        return _min_gaps(gaps, _gap_classes(bl, br))
+
+
+def _gap_classes(bl, br):
+    """Rows marking the d_plus, d_minus and opposite-sign neighbor slots,
+    given the left and right charges of each consecutive charged pair."""
+    return np.stack([(bl > 0) & (br > 0), (bl < 0) & (br < 0), bl * br < 0])
+
+
+def _min_gaps(gaps, classes):
+    """Minimum neighbor gap in each row of ``classes``; inf for an empty row."""
+    rows = np.where(classes, gaps, np.inf)
+    return tuple(np.minimum.reduce(rows, axis=1, initial=np.inf).tolist())
 
 
 @dataclass(frozen=True)
@@ -181,7 +188,8 @@ class SimulationResult:
     events: EventLog
     diagnostics: Diagnostics
     snapshots: list            # states at requested t_eval times
-    # step attempts accepted and rejected, and right-hand-side evaluations
+    # step attempts accepted and rejected, right-hand-side evaluations, and
+    # attempts whose step the gap cap set (gap_capped)
     stats: dict
 
     def trajectory_csv(self) -> str:
@@ -209,7 +217,8 @@ def velocities(state: ParticleState, pot: Potential, alpha: float,
     """
     seg = _checked_segment(state, pot, alpha, field)
     vel = np.zeros(state.n)
-    vel[seg.idx] = seg.rhs(seg.xc)
+    with np.errstate(**_KERNEL_ERRSTATE):
+        vel[seg.idx] = seg.rhs(seg.xc)
     return vel
 
 
@@ -281,7 +290,7 @@ def detect_collision(state: ParticleState, prev_state: ParticleState,
         raise ValueError("states must share the charge pattern")
     idx = state.charged_indices
     bc = state.b[idx]
-    opp = bc[:-1] * bc[1:] < 0
+    opp = np.flatnonzero(bc[:-1] * bc[1:] < 0)
     gaps = np.diff(state.x[idx])
     prev_opp = np.diff(prev_state.x[idx])[opp]
     p = 2.0 + exponent
@@ -325,6 +334,15 @@ def _finalize_event(state: ParticleState, tau: float, clusters,
 # again on every evaluation
 _PAIR_CHUNK = 8192
 
+# coincident or crossing stage points make the evaluators return inf or nan;
+# step control rejects such stages, so the kernel runs with these silenced
+_KERNEL_ERRSTATE = {"divide": "ignore", "invalid": "ignore", "over": "ignore"}
+
+
+def _gaps(x):
+    """Neighbor gaps x[k+1] - x[k], as np.diff computes them."""
+    return x[1:] - x[:-1]
+
 
 class _Segment:
     """Charged subsystem between two events: fixed index set, fast kernels.
@@ -332,7 +350,12 @@ class _Segment:
     Forces and energy sweep the pairs i < j once, in fixed chunks of
     ``_PAIR_CHUNK``.  The evaluators are defined on (0, inf) only, so each
     chunk evaluates at |x_i - x_j| and applies the sign afterwards; stage
-    points of the integrator need not be ordered.
+    points of the integrator need not be ordered.  ``rhs`` runs under its
+    caller's ``np.errstate(**_KERNEL_ERRSTATE)``.
+
+    The neighbor gaps are computed once per step attempt, from the trial
+    point, and shared: the ordering check, the gap cap, ``record`` and event
+    extrapolation all read that one array.
     """
 
     def __init__(self, x_full, b_full, pot, alpha, field, record_energy=True):
@@ -346,55 +369,51 @@ class _Segment:
         self.alpha = alpha
         self.d0 = pot.derivs[0]
         self.d1 = pot.derivs[1]
-        self.g = (field or zero_field()).g
+        # without a field there is nothing to add (the zero field adds zeros)
+        self.g = field.g if field is not None else None
         self.u = field.u if field is not None else None
         self.neutral_m1 = float(np.sum(x_full)) - float(np.sum(self.xc))
-        bl, br = self.bc[:-1], self.bc[1:]
-        self.opp = bl * br < 0
-        self.same_p = (bl > 0) & (br > 0)
-        self.same_m = (bl < 0) & (br < 0)
+        self.gap_classes = _gap_classes(self.bc[:-1], self.bc[1:])
+        self.opp = np.flatnonzero(self.gap_classes[2])
         iu, ju = np.triu_indices(self.m, k=1)
-        self.chunks = []    # (i, j, b_i b_j) per chunk of pairs i < j
+        # (i, j, alpha b_i b_j, -alpha^2 b_i b_j) per chunk of pairs i < j;
+        # b_i b_j = +-1, so folding alpha in leaves every product unchanged
+        self.chunks = []
         for s in range(0, len(iu), _PAIR_CHUNK):
             i, j = iu[s:s + _PAIR_CHUNK], ju[s:s + _PAIR_CHUNK]
-            self.chunks.append((i, j, self.bc[i] * self.bc[j]))
+            q = self.bc[i] * self.bc[j]
+            self.chunks.append((i, j, q * alpha, q * (-(alpha ** 2))))
         self.record_energy = record_energy and self.m >= 1
 
     def rhs(self, xc):
         m = self.m
-        if m == 0:
-            return np.empty(0)
         acc = np.zeros(m)
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            for i, j, q in self.chunks:
-                d = xc[i] - xc[j]
-                v1 = self.d1(self.alpha * np.abs(d))
-                w = q * (-(self.alpha ** 2)) * v1 * np.sign(d)
-                acc += np.bincount(i, w, m)
-                acc -= np.bincount(j, w, m)
-        vel = acc / self.n
-        vel += self.bc * np.asarray(self.g(xc), dtype=float)
-        return vel
+        for i, j, _, qf in self.chunks:
+            d = xc[i] - xc[j]
+            w = qf * self.d1(self.alpha * np.abs(d)) * np.sign(d)
+            acc += np.bincount(i, w, m)
+            acc -= np.bincount(j, w, m)
+        acc /= self.n
+        if self.g is not None:
+            acc += self.bc * self.g(xc)
+        return acc
 
     def energy(self, xc):
         e = 0.0
-        for i, j, q in self.chunks:
-            vals = self.alpha * self.d0(self.alpha * np.abs(xc[i] - xc[j]))
-            e += float(np.sum(q * vals)) / self.n ** 2
+        for i, j, qe, _ in self.chunks:
+            vals = self.d0(self.alpha * np.abs(xc[i] - xc[j]))
+            e += float((qe * vals).sum()) / self.n ** 2
         if self.u is not None and self.m >= 1:
             e += float(np.sum(self.bc * np.asarray(self.u(xc), dtype=float))) / self.n
         return e
 
-    def record(self, diag, t, xc):
-        gaps = np.diff(xc)
-        dp = float(np.min(gaps[self.same_p])) if np.any(self.same_p) else np.inf
-        dm = float(np.min(gaps[self.same_m])) if np.any(self.same_m) else np.inf
-        do = float(np.min(gaps[self.opp])) if np.any(self.opp) else np.inf
+    def record(self, diag, t, xc, gaps):
+        dp, dm, do = _min_gaps(gaps, self.gap_classes)
         diag.t.append(t)
         diag.d_plus.append(dp)
         diag.d_minus.append(dm)
         diag.min_opposite_gap.append(do)
-        diag.m1.append(float(np.sum(xc)) + self.neutral_m1)
+        diag.m1.append(float(xc.sum()) + self.neutral_m1)
         diag.energy.append(self.energy(xc) if self.record_energy else np.nan)
         diag.n_charged.append(self.m)
 
@@ -411,7 +430,9 @@ def simulate(state0: ParticleState, pot: Potential, alpha: float,
     """Advance the particle system to ``t_end`` with collision handling.
 
     ``t_eval`` requests state snapshots at given times (stepping lands on
-    them exactly).  Diagnostics are recorded at every accepted step.
+    them exactly).  Diagnostics are recorded at every accepted step.  numpy
+    floating-point warnings are silenced while it runs: a crossing or
+    coinciding stage point yields inf or nan, and step control rejects it.
     """
     state0.validate()
     # spot check of the monotone-force ledger (warn-only; the full audit is
@@ -438,98 +459,109 @@ def simulate(state0: ParticleState, pot: Potential, alpha: float,
     for _ in range(n_snap_start):
         snapshots.append(ParticleState(t, x_full, b_full))
 
-    stats = {"accepted": 0, "rejected": 0, "force_evals": 0}
+    stats = {"accepted": 0, "rejected": 0, "force_evals": 0, "gap_capped": 0}
 
-    while True:
-        # one diagnostics row at the start and one after each event batch
-        seg = _Segment(x_full, b_full, pot, alpha, field, opts.record_energy)
-        xc = seg.xc
-        seg.record(diag, t, xc)
-        k1 = seg.rhs(xc)
-        stats["force_evals"] += 1
-        h = opts.h_init
-        gaps = np.diff(xc)
-        prev_opp_gaps = gaps[seg.opp].copy() if seg.m >= 2 else np.empty(0)
-        t_prev = t
-        event = None
+    def gap_cap(opp_gaps):
+        d_min = float(opp_gaps.min()) if len(opp_gaps) else np.inf
+        h_cap = opts.gap_factor * d_min ** p if np.isfinite(d_min) else np.inf
+        return d_min, h_cap
 
-        while t < t_end - 1e-300:
-            if stats["accepted"] + stats["rejected"] >= opts.max_steps:
-                raise StiffnessError("step budget exhausted",
-                                     {"t": t, "n_charged": seg.m})
-            gaps = np.diff(xc)
-            opp_gaps = gaps[seg.opp]
-            d_min = float(np.min(opp_gaps)) if len(opp_gaps) else np.inf
-            h_cap = opts.gap_factor * d_min ** p if np.isfinite(d_min) else np.inf
-            h = min(h, h_cap, t_end - t)
-            if eval_queue:
-                h = min(h, eval_queue[0] - t)
-            h = max(h, 1e-16 * max(1.0, abs(t)))
-
-            # Bogacki-Shampine 3(2), first-same-as-last
-            k2 = seg.rhs(xc + 0.5 * h * k1)
-            k3 = seg.rhs(xc + 0.75 * h * k2)
-            stats["force_evals"] += 2
-            x_new = xc + h * (2.0 * k1 + 3.0 * k2 + 4.0 * k3) / 9.0
-            ordered = seg.m < 2 or bool(np.all(np.diff(x_new) > 0))
-            if ordered:
-                k4 = seg.rhs(x_new)
-                stats["force_evals"] += 1
-                err = h * np.abs(-5.0 / 72.0 * k1 + k2 / 12.0 + k3 / 9.0 - k4 / 8.0)
-                scale = opts.rk_tol * (1.0 + np.abs(xc))
-                err_norm = float(np.max(err / scale)) if seg.m else 0.0
-                if not np.isfinite(err_norm):
-                    err_norm = np.inf
-            else:
-                err_norm = np.inf
-
-            if err_norm > 1.0:
-                stats["rejected"] += 1
-                if h > opts.h_min:
-                    shrink = 0.2 if not np.isfinite(err_norm) else \
-                        max(0.2, 0.9 * err_norm ** (-1.0 / 3.0))
-                    h = max(h * shrink, opts.h_min)
-                    continue
-                # step underflow: only acceptable right on top of a collision
-                event = _extrapolate_event(seg.opp, seg.idx, gaps,
-                                           prev_opp_gaps, t, t_prev, p,
-                                           2.0 * r_trig, r_cluster)
-                if event is None:
-                    raise StiffnessError(
-                        f"step underflow at t={t:.6g} without a collision",
-                        {"t": t, "h": h, "min_opposite_gap": d_min})
-                break
-
-            # accept
-            stats["accepted"] += 1
-            t = t + h
-            xc = x_new
-            k1 = k4
-            h = h * min(5.0, max(0.2, 0.9 * (err_norm + 1e-16) ** (-1.0 / 3.0)))
-            seg.record(diag, t, xc)
-
-            gaps = np.diff(xc)
-            opp_gaps = gaps[seg.opp]
-            event = _extrapolate_event(seg.opp, seg.idx, gaps, prev_opp_gaps,
-                                       t, t_prev, p, r_trig, r_cluster)
-            prev_opp_gaps = opp_gaps.copy()
+    with np.errstate(**_KERNEL_ERRSTATE):
+        while True:
+            # one diagnostics row at the start and one after each event batch
+            seg = _Segment(x_full, b_full, pot, alpha, field, opts.record_energy)
+            xc = seg.xc
+            gaps = _gaps(xc)
+            seg.record(diag, t, xc, gaps)
+            k1 = seg.rhs(xc)
+            stats["force_evals"] += 1
+            h = opts.h_init
+            prev_opp_gaps = gaps[seg.opp]
+            d_min, h_cap = gap_cap(prev_opp_gaps)
+            scale = opts.rk_tol * (1.0 + np.abs(xc))
             t_prev = t
+            event = None
 
+            while t < t_end - 1e-300:
+                if stats["accepted"] + stats["rejected"] >= opts.max_steps:
+                    raise StiffnessError("step budget exhausted",
+                                         {"t": t, "n_charged": seg.m})
+                h_err = h
+                h = min(h, h_cap, t_end - t)
+                if eval_queue:
+                    h = min(h, eval_queue[0] - t)
+                h = max(h, 1e-16 * max(1.0, abs(t)))
+                if h == h_cap < h_err:
+                    stats["gap_capped"] += 1
+
+                # Bogacki-Shampine 3(2), first-same-as-last
+                k2 = seg.rhs(xc + 0.5 * h * k1)
+                k3 = seg.rhs(xc + 0.75 * h * k2)
+                stats["force_evals"] += 2
+                x_new = xc + h * (2.0 * k1 + 3.0 * k2 + 4.0 * k3) / 9.0
+                new_gaps = _gaps(x_new)
+                # a nan gap fails the test, like a non-positive one
+                if seg.m < 2 or new_gaps.min() > 0:
+                    k4 = seg.rhs(x_new)
+                    stats["force_evals"] += 1
+                    err = h * np.abs(-5.0 / 72.0 * k1 + k2 / 12.0 + k3 / 9.0 - k4 / 8.0)
+                    err_norm = float((err / scale).max()) if seg.m else 0.0
+                    if not math.isfinite(err_norm):
+                        err_norm = np.inf
+                else:
+                    err_norm = np.inf
+
+                if err_norm > 1.0:
+                    stats["rejected"] += 1
+                    if h > opts.h_min:
+                        shrink = 0.2 if not math.isfinite(err_norm) else \
+                            max(0.2, 0.9 * err_norm ** (-1.0 / 3.0))
+                        h = max(h * shrink, opts.h_min)
+                        continue
+                    # step underflow: only acceptable right on top of a collision
+                    event = _extrapolate_event(seg.opp, seg.idx, gaps,
+                                               prev_opp_gaps, t, t_prev, p,
+                                               2.0 * r_trig, r_cluster)
+                    if event is None:
+                        raise StiffnessError(
+                            f"step underflow at t={t:.6g} without a collision",
+                            {"t": t, "h": h, "min_opposite_gap": d_min})
+                    break
+
+                # accept
+                stats["accepted"] += 1
+                t = t + h
+                xc = x_new
+                gaps = new_gaps
+                k1 = k4
+                h = h * min(5.0, max(0.2, 0.9 * (err_norm + 1e-16) ** (-1.0 / 3.0)))
+                seg.record(diag, t, xc, gaps)
+
+                opp_gaps = gaps[seg.opp]
+                d_min, h_cap = gap_cap(opp_gaps)
+                if d_min < r_trig:
+                    event = _extrapolate_event(seg.opp, seg.idx, gaps,
+                                               prev_opp_gaps, t, t_prev, p,
+                                               r_trig, r_cluster)
+                prev_opp_gaps = opp_gaps
+                scale = opts.rk_tol * (1.0 + np.abs(xc))
+                t_prev = t
+
+                for tv in _pop_due(eval_queue, t, 1e-12 * max(1.0, abs(t))):
+                    snapshots.append(seg.state(tv, xc))
+                if event is not None:
+                    break
+
+            if event is None:
+                x_full[seg.idx] = xc  # write the integrated segment back
+                break  # reached t_end
+
+            tau, clusters = event
+            tau = min(max(tau, t), t_end)
+            st = _finalize_event(seg.state(tau, xc), tau, clusters, events, opts)
+            t, x_full, b_full = st.t, st.x.copy(), st.b.copy()
             for tv in _pop_due(eval_queue, t, 1e-12 * max(1.0, abs(t))):
-                snapshots.append(seg.state(tv, xc))
-            if event is not None:
-                break
-
-        if event is None:
-            x_full[seg.idx] = xc  # write the integrated segment back
-            break  # reached t_end
-
-        tau, clusters = event
-        tau = min(max(tau, t), t_end)
-        st = _finalize_event(seg.state(tau, xc), tau, clusters, events, opts)
-        t, x_full, b_full = st.t, st.x.copy(), st.b.copy()
-        for tv in _pop_due(eval_queue, t, 1e-12 * max(1.0, abs(t))):
-            snapshots.append(ParticleState(tv, x_full, b_full))
+                snapshots.append(ParticleState(tv, x_full, b_full))
 
     final = ParticleState(t, x_full, b_full)
     for tv in _pop_due(eval_queue, t_end, 1e-12):
@@ -549,7 +581,7 @@ def _extrapolate_event(opp, idx, gaps, prev_opp_gaps, t, t_prev, p,
                        r_trig, r_cluster):
     """Fit d^p affine through the last two gap samples of triggered pairs.
 
-    ``opp`` marks the opposite-sign neighbor slots among the charged
+    ``opp`` holds the opposite-sign neighbor slots among the charged
     particles ``idx`` (global indices, in spatial order); ``gaps`` are their
     current neighbor gaps.
     """
@@ -567,7 +599,7 @@ def _extrapolate_event(opp, idx, gaps, prev_opp_gaps, t, t_prev, p,
     tau = float(np.min(taus))
     # clusters: chains of charged neighbors within r_cluster holding a
     # triggered pair; fired_left holds left neighbor-slot indices
-    fired_left = set(int(v) for v in np.flatnonzero(opp)[closing])
+    fired_left = set(int(v) for v in opp[closing])
     near = gaps <= r_cluster
     clusters = []
     k = 0

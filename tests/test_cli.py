@@ -59,6 +59,7 @@ def test_simulate_writes_outputs(tmp_path, capsys):
     summary = capsys.readouterr().out
     assert "accepted" in summary and "rejected" in summary
     assert "force evaluations" in summary
+    assert "set by the gap cap" in summary
 
 
 def test_pde_subcommand(tmp_path):

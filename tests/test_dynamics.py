@@ -1,6 +1,7 @@
 """Particle dynamics: forces, collisions, annihilation, invariants."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -11,7 +12,7 @@ from signedflow import (InvariantViolationError, IntegratorOptions,
                         power_law_force_potential, riesz_potential, simulate,
                         stability_experiment, velocities, wall_potential)
 from signedflow.dynamics import _Segment
-from signedflow.potentials import make_field
+from signedflow.potentials import make_field, zero_field
 
 
 # ---------------------------------------------------------------------------
@@ -132,6 +133,68 @@ def test_pair_kernel_matches_double_loop(potname, case):
     assert seg.energy(seg.xc) == e
 
 
+def _zero_net_config(n, seed):
+    rng = np.random.default_rng(seed)
+    x = np.sort(rng.uniform(-1.0, 1.0, n)) + np.arange(n) * 1e-9
+    return ParticleState(0.0, x, rng.permutation(np.repeat([-1, 1], n // 2)))
+
+
+def _run_bits(res):
+    """Everything a run reports, as bytes and plain values."""
+    return (res.state.t, res.state.x.tobytes(), res.state.b.tobytes(),
+            [ev.to_dict() for ev in res.events],
+            {k: v.tobytes() for k, v in res.diagnostics.arrays().items()},
+            res.stats)
+
+
+@pytest.mark.parametrize("potname", ["log", "wall"])
+def test_no_field_equals_zero_field_bitwise(potname):
+    # without a field the kernel adds nothing; the zero field adds zeros
+    pot, alpha = {"log": (log_potential(), 1.0),
+                  "wall": (wall_potential(), 3.0)}[potname]
+    st = _zero_net_config(12, 3)
+    zf = zero_field()
+    assert velocities(st, pot, alpha).tobytes() == \
+        velocities(st, pot, alpha, zf).tobytes()
+    assert energy(st, pot, alpha) == energy(st, pot, alpha, zf)
+    a = simulate(st, pot, alpha, None, 0.02)
+    b = simulate(st, pot, alpha, zf, 0.02)
+    assert _run_bits(a) == _run_bits(b)
+
+
+@pytest.mark.parametrize("potname", ["log", "wall"])
+def test_simulate_reproducible_bit_for_bit(potname):
+    pot, alpha = {"log": (log_potential(), 1.0),
+                  "wall": (wall_potential(), math.sqrt(12))}[potname]
+    st = _zero_net_config(12, 5)
+    a = simulate(st, pot, alpha, None, 0.1)
+    assert len(a.events) > 0
+    assert _run_bits(a) == _run_bits(simulate(st, pot, alpha, None, 0.1))
+
+
+def test_velocities_silence_float_warnings_at_tiny_gap():
+    # sinh(1e-200)**2 underflows to 0, so V' divides by zero
+    st = ParticleState(0.0, [0.0, 1e-200], [1, -1])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        v = velocities(st, wall_potential(), 1.0)
+        with pytest.raises(RuntimeWarning):
+            wall_potential().derivs[1](np.array([1e-200]))
+    assert v[0] > 0 > v[1]
+
+
+def test_min_gaps_matches_diagnostics():
+    st = ParticleState(0.0, [0.0, 1.0, 2.0, 4.0, 6.5, 8.0], [1, 1, 0, -1, -1, 1])
+    assert st.min_gaps() == (1.0, 2.5, 1.5)
+    assert ParticleState(0.0, [0.0, 1.0], [1, 0]).min_gaps() == (np.inf,) * 3
+    assert ParticleState(0.0, [0.0, 1.0], [1, -1]).min_gaps() == (np.inf, np.inf, 1.0)
+    # the last diagnostics row is recorded from the final positions
+    res = simulate(_zero_net_config(10, 2), wall_potential(), 3.0, None, 0.01)
+    d = res.diagnostics
+    assert res.state.min_gaps() == (d.d_plus[-1], d.d_minus[-1],
+                                    d.min_opposite_gap[-1])
+
+
 def test_rhs_bitwise_deterministic():
     rng = np.random.default_rng(7)
     st = ParticleState(0.0, np.sort(rng.uniform(-1, 1, 30)), rng.choice([-1, 1], 30))
@@ -178,6 +241,8 @@ def test_simulation_stats_count_steps_and_evaluations():
     # three evaluations per attempt (two when the stage is unordered), plus
     # one at the start of each segment between events
     assert 2 * attempts + 1 + batches <= s["force_evals"] <= 3 * attempts + 1 + batches
+    # the run closes a pair, where the gap cap binds before error control
+    assert 0 < s["gap_capped"] <= attempts
 
 
 def test_single_particle_stationary():

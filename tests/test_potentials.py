@@ -113,6 +113,17 @@ def test_wall_large_argument_stable():
     assert pot.deriv(1e30, 0) == 0.0  # underflows cleanly, no overflow
 
 
+@pytest.mark.parametrize("lo,hi", [(1e-3, 19.0), (20.5, 60.0), (1e-3, 60.0)])
+def test_wall_first_derivative_arrays_match_pointwise(lo, hi):
+    # below CUT = 20 only, above it only, and straddling it
+    v1 = wall_potential().derivs[1]
+    x = np.concatenate([np.geomspace(lo, hi, 97), [20.0] if lo < 20.0 < hi else []])
+    whole = v1(x)
+    one_by_one = np.array([v1(np.array([xi]))[0] for xi in x])
+    assert whole.tobytes() == one_by_one.tobytes()
+    assert np.ndim(v1(3.0)) == 0 and v1(3.0) == v1(np.array([3.0]))[0]
+
+
 # ---------------------------------------------------------------------------
 # L1 norm
 # ---------------------------------------------------------------------------
