@@ -13,6 +13,12 @@ Between events the trajectory is advanced by an embedded Bogacki-Shampine
 3(2) pair with PI step control.  Close to a collision the shrinking gap d of
 an opposite pair follows d^(2+a) affine in t (a = singularity exponent of the
 force), which both caps the step size and extrapolates the collision time.
+
+``IntegratorOptions`` sets the three step-control values a caller may tune:
+``rk_tol``, ``h_min`` and ``h_init``.  The step ceiling and the event radii
+are fixed module constants: GAP_FACTOR, COLLISION_RADIUS, CLUSTER_FACTOR and
+H_COLLISION_FLOOR, with SPACING_TOL checked after each event and MAX_STEPS
+bounding the attempts of a run.
 """
 
 from __future__ import annotations
@@ -155,31 +161,47 @@ class Diagnostics:
         return {k: np.asarray(v) for k, v in self.__dict__.items()}
 
 
+# fixed event and step-ceiling parameters of ``simulate``
+GAP_FACTOR = 0.2            # step ceiling h <= GAP_FACTOR * d^(2+a)
+COLLISION_RADIUS = 1e-5     # smallest trigger radius
+CLUSTER_FACTOR = 8.0        # cluster radius = factor * trigger radius
+H_COLLISION_FLOOR = 1e-13   # smallest gap-capped step before an event fires
+SPACING_TOL = 1e-12         # least charged spacing after an event
+MAX_STEPS = 2_000_000       # step attempts per run
+
+
 @dataclass(frozen=True)
 class IntegratorOptions:
+    """Step control of ``simulate``.
+
+    ``rk_tol`` is the error tolerance of a step, relative to 1 + |x_i|;
+    ``h_min`` is the step below which a rejected step raises StiffnessError;
+    ``h_init`` is the first step tried after the start and after each event.
+    The event and ceiling parameters are the module constants GAP_FACTOR,
+    COLLISION_RADIUS, CLUSTER_FACTOR, H_COLLISION_FLOOR, SPACING_TOL and
+    MAX_STEPS.
+    """
+
     rk_tol: float = 1e-9
     h_min: float = 1e-14
     h_init: float = 1e-4
-    gap_factor: float = 0.2          # step ceiling h <= gap_factor * d^(2+a)
-    collision_radius: float = 1e-5
-    cluster_factor: float = 8.0      # cluster radius = factor * trigger radius
-    h_collision_floor: float = 1e-13
-    spacing_tol: float = 1e-12
-    record_energy: bool = True
-    max_steps: int = 2_000_000
 
-    def trigger_radius(self, exponent: float) -> float:
-        """Gap below which an event fires.
+    def __post_init__(self):
+        if not all(v > 0 for v in (self.rk_tol, self.h_min, self.h_init)):
+            raise ValueError("rk_tol, h_min and h_init must be positive")
 
-        At least ``collision_radius``; enlarged when the step ceiling
-        gap_factor * d^(2+a) would fall below ``h_collision_floor`` first,
-        which happens for strong singularities (large a).
-        """
-        r_time = (self.h_collision_floor / self.gap_factor) ** (1.0 / (2.0 + exponent))
-        return max(self.collision_radius, r_time)
 
-    def cluster_radius(self, exponent: float) -> float:
-        return self.cluster_factor * self.trigger_radius(exponent)
+def _event_radii(exponent: float):
+    """(trigger radius, cluster radius) of events at singularity exponent a.
+
+    An event fires once an opposite gap is under the trigger radius.  It is
+    at least COLLISION_RADIUS, and larger when the step ceiling
+    GAP_FACTOR * d^(2+a) would fall below H_COLLISION_FLOOR first, which
+    happens for strong singularities (large a).
+    """
+    r_time = (H_COLLISION_FLOOR / GAP_FACTOR) ** (1.0 / (2.0 + exponent))
+    r_trig = max(COLLISION_RADIUS, r_time)
+    return r_trig, CLUSTER_FACTOR * r_trig
 
 
 @dataclass
@@ -277,8 +299,7 @@ def annihilate(state: ParticleState, cluster, y: float) -> ParticleState:
 # ---------------------------------------------------------------------------
 
 def detect_collision(state: ParticleState, prev_state: ParticleState,
-                     exponent: float,
-                     opts: IntegratorOptions = IntegratorOptions()):
+                     exponent: float):
     """Extrapolated collision time and clusters once a gap is under threshold.
 
     The law d^(2+a)(t) affine in t is fitted through the gap samples of the
@@ -295,8 +316,7 @@ def detect_collision(state: ParticleState, prev_state: ParticleState,
     prev_opp = np.diff(prev_state.x[idx])[opp]
     p = 2.0 + exponent
     hit = _extrapolate_event(opp, idx, gaps, prev_opp, state.t,
-                             prev_state.t, p, opts.trigger_radius(exponent),
-                             opts.cluster_radius(exponent))
+                             prev_state.t, p, *_event_radii(exponent))
     if hit is None:
         return None
     tau, clusters = hit
@@ -308,7 +328,7 @@ def detect_collision(state: ParticleState, prev_state: ParticleState,
 # ---------------------------------------------------------------------------
 
 def _finalize_event(state: ParticleState, tau: float, clusters,
-                    events: EventLog, opts: IntegratorOptions) -> ParticleState:
+                    events: EventLog) -> ParticleState:
     """Snap each cluster to its mean position at the extrapolated time and
     apply the annihilation rule; re-enter the ordered state space."""
     new = ParticleState(tau, state.x, state.b)
@@ -324,7 +344,7 @@ def _finalize_event(state: ParticleState, tau: float, clusters,
             raise InvariantViolationError("charge not conserved at event")
         events.append(CollisionEvent(tau, y, tuple(cluster), b_before, b_after))
     xc = new.x[new.charged_indices]
-    if len(xc) > 1 and np.min(np.diff(xc)) <= opts.spacing_tol:
+    if len(xc) > 1 and np.min(np.diff(xc)) <= SPACING_TOL:
         raise InvariantViolationError("state left the ordered space after event")
     return new
 
@@ -358,7 +378,7 @@ class _Segment:
     extrapolation all read that one array.
     """
 
-    def __init__(self, x_full, b_full, pot, alpha, field, record_energy=True):
+    def __init__(self, x_full, b_full, pot, alpha, field):
         self.n = len(x_full)
         self.idx = np.flatnonzero(b_full != 0)
         self.m = len(self.idx)
@@ -383,7 +403,6 @@ class _Segment:
             i, j = iu[s:s + _PAIR_CHUNK], ju[s:s + _PAIR_CHUNK]
             q = self.bc[i] * self.bc[j]
             self.chunks.append((i, j, q * alpha, q * (-(alpha ** 2))))
-        self.record_energy = record_energy and self.m >= 1
 
     def rhs(self, xc):
         m = self.m
@@ -414,7 +433,7 @@ class _Segment:
         diag.d_minus.append(dm)
         diag.min_opposite_gap.append(do)
         diag.m1.append(float(xc.sum()) + self.neutral_m1)
-        diag.energy.append(self.energy(xc) if self.record_energy else np.nan)
+        diag.energy.append(self.energy(xc) if self.m else np.nan)
         diag.n_charged.append(self.m)
 
     def state(self, t, xc) -> ParticleState:
@@ -430,9 +449,11 @@ def simulate(state0: ParticleState, pot: Potential, alpha: float,
     """Advance the particle system to ``t_end`` with collision handling.
 
     ``t_eval`` requests state snapshots at given times (stepping lands on
-    them exactly).  Diagnostics are recorded at every accepted step.  numpy
-    floating-point warnings are silenced while it runs: a crossing or
-    coinciding stage point yields inf or nan, and step control rejects it.
+    them exactly; a request within 1e-12 max(1, |t|) of a reached time t is
+    taken there).  Diagnostics hold one row at the start, one after each
+    event batch and one per accepted step.  numpy floating-point warnings
+    are silenced while it runs: a crossing or coinciding stage point yields
+    inf or nan, and step control rejects it.
     """
     state0.validate()
     # spot check of the monotone-force ledger (warn-only; the full audit is
@@ -443,130 +464,95 @@ def simulate(state0: ParticleState, pot: Potential, alpha: float,
             "collision handling assumes f >= 0 and f' <= 0", RuntimeWarning)
     a_exp = pot.singularity_exponent if pot.singularity_exponent is not None else 0.0
     p = 2.0 + a_exp
-    r_trig = opts.trigger_radius(a_exp)
-    r_cluster = opts.cluster_radius(a_exp)
+    r_trig, r_cluster = _event_radii(a_exp)
 
     events = EventLog()
     diag = Diagnostics()
     snapshots = []
-    t_eval = sorted(float(t) for t in (t_eval if t_eval is not None else []))
-    eval_queue = [tv for tv in t_eval if tv > state0.t + 1e-300]
-    n_snap_start = len(t_eval) - len(eval_queue)
-
-    x_full = state0.x.copy()
-    b_full = state0.b.copy()
-    t = state0.t
-    for _ in range(n_snap_start):
-        snapshots.append(ParticleState(t, x_full, b_full))
-
+    eval_queue = sorted(float(t) for t in (t_eval if t_eval is not None else []))
+    t, x, b = state0.t, state0.x, state0.b
     stats = {"accepted": 0, "rejected": 0, "force_evals": 0, "gap_capped": 0}
-
-    def gap_cap(opp_gaps):
-        d_min = float(opp_gaps.min()) if len(opp_gaps) else np.inf
-        h_cap = opts.gap_factor * d_min ** p if np.isfinite(d_min) else np.inf
-        return d_min, h_cap
 
     with np.errstate(**_KERNEL_ERRSTATE):
         while True:
-            # one diagnostics row at the start and one after each event batch
-            seg = _Segment(x_full, b_full, pot, alpha, field, opts.record_energy)
+            seg = _Segment(x, b, pot, alpha, field)
             xc = seg.xc
             gaps = _gaps(xc)
-            seg.record(diag, t, xc, gaps)
             k1 = seg.rhs(xc)
             stats["force_evals"] += 1
             h = opts.h_init
-            prev_opp_gaps = gaps[seg.opp]
-            d_min, h_cap = gap_cap(prev_opp_gaps)
-            scale = opts.rk_tol * (1.0 + np.abs(xc))
-            t_prev = t
+            t_prev, prev_opp_gaps = t, None
             event = None
-
-            while t < t_end - 1e-300:
-                if stats["accepted"] + stats["rejected"] >= opts.max_steps:
-                    raise StiffnessError("step budget exhausted",
-                                         {"t": t, "n_charged": seg.m})
-                h_err = h
-                h = min(h, h_cap, t_end - t)
-                if eval_queue:
-                    h = min(h, eval_queue[0] - t)
-                h = max(h, 1e-16 * max(1.0, abs(t)))
-                if h == h_cap < h_err:
-                    stats["gap_capped"] += 1
-
-                # Bogacki-Shampine 3(2), first-same-as-last
-                k2 = seg.rhs(xc + 0.5 * h * k1)
-                k3 = seg.rhs(xc + 0.75 * h * k2)
-                stats["force_evals"] += 2
-                x_new = xc + h * (2.0 * k1 + 3.0 * k2 + 4.0 * k3) / 9.0
-                new_gaps = _gaps(x_new)
-                # a nan gap fails the test, like a non-positive one
-                if seg.m < 2 or new_gaps.min() > 0:
-                    k4 = seg.rhs(x_new)
-                    stats["force_evals"] += 1
-                    err = h * np.abs(-5.0 / 72.0 * k1 + k2 / 12.0 + k3 / 9.0 - k4 / 8.0)
-                    err_norm = float((err / scale).max()) if seg.m else 0.0
-                    if not math.isfinite(err_norm):
-                        err_norm = np.inf
-                else:
-                    err_norm = np.inf
-
-                if err_norm > 1.0:
-                    stats["rejected"] += 1
-                    if h > opts.h_min:
-                        shrink = 0.2 if not math.isfinite(err_norm) else \
-                            max(0.2, 0.9 * err_norm ** (-1.0 / 3.0))
-                        h = max(h * shrink, opts.h_min)
-                        continue
-                    # step underflow: only acceptable right on top of a collision
-                    event = _extrapolate_event(seg.opp, seg.idx, gaps,
-                                               prev_opp_gaps, t, t_prev, p,
-                                               2.0 * r_trig, r_cluster)
-                    if event is None:
-                        raise StiffnessError(
-                            f"step underflow at t={t:.6g} without a collision",
-                            {"t": t, "h": h, "min_opposite_gap": d_min})
-                    break
-
-                # accept
-                stats["accepted"] += 1
-                t = t + h
-                xc = x_new
-                gaps = new_gaps
-                k1 = k4
-                h = h * min(5.0, max(0.2, 0.9 * (err_norm + 1e-16) ** (-1.0 / 3.0)))
+            while True:
+                # commit (t, xc), the segment start or an accepted step: one
+                # diagnostics row, the step ceiling and error scale for the
+                # next step, the event check and the snapshots due
                 seg.record(diag, t, xc, gaps)
-
                 opp_gaps = gaps[seg.opp]
-                d_min, h_cap = gap_cap(opp_gaps)
+                d_min = float(opp_gaps.min()) if len(opp_gaps) else np.inf
+                h_cap = GAP_FACTOR * d_min ** p
+                scale = opts.rk_tol * (1.0 + np.abs(xc))
                 if d_min < r_trig:
                     event = _extrapolate_event(seg.opp, seg.idx, gaps,
                                                prev_opp_gaps, t, t_prev, p,
                                                r_trig, r_cluster)
-                prev_opp_gaps = opp_gaps
-                scale = opts.rk_tol * (1.0 + np.abs(xc))
-                t_prev = t
-
+                t_prev, prev_opp_gaps = t, opp_gaps
                 for tv in _pop_due(eval_queue, t, 1e-12 * max(1.0, abs(t))):
                     snapshots.append(seg.state(tv, xc))
-                if event is not None:
+                if event is not None or t >= t_end - 1e-300:
                     break
 
-            if event is None:
-                x_full[seg.idx] = xc  # write the integrated segment back
-                break  # reached t_end
+                while True:
+                    # one Bogacki-Shampine 3(2) attempt, first-same-as-last
+                    if stats["accepted"] + stats["rejected"] >= MAX_STEPS:
+                        raise StiffnessError("step budget exhausted",
+                                             {"t": t, "n_charged": seg.m})
+                    h_err = h
+                    h = min(h, h_cap, t_end - t)
+                    if eval_queue:
+                        h = min(h, eval_queue[0] - t)
+                    h = max(h, 1e-16 * max(1.0, abs(t)))
+                    if h == h_cap < h_err:
+                        stats["gap_capped"] += 1
+                    k2 = seg.rhs(xc + 0.5 * h * k1)
+                    k3 = seg.rhs(xc + 0.75 * h * k2)
+                    stats["force_evals"] += 2
+                    x_new = xc + h * (2.0 * k1 + 3.0 * k2 + 4.0 * k3) / 9.0
+                    new_gaps = _gaps(x_new)
+                    err_norm = np.inf
+                    # a nan gap fails the test, like a non-positive one
+                    if seg.m < 2 or new_gaps.min() > 0:
+                        k4 = seg.rhs(x_new)
+                        stats["force_evals"] += 1
+                        err = h * np.abs(-5.0 / 72.0 * k1 + k2 / 12.0
+                                         + k3 / 9.0 - k4 / 8.0)
+                        err_norm = float((err / scale).max()) if seg.m else 0.0
+                        if not math.isfinite(err_norm):
+                            err_norm = np.inf
+                    if err_norm <= 1.0:
+                        break
+                    stats["rejected"] += 1
+                    if h <= opts.h_min:
+                        raise StiffnessError(
+                            f"step underflow at t={t:.6g} without a collision",
+                            {"t": t, "h": h, "min_opposite_gap": d_min})
+                    h = max(h * max(0.2, 0.9 * err_norm ** (-1.0 / 3.0)), opts.h_min)
 
+                stats["accepted"] += 1
+                t = t + h
+                xc, gaps, k1 = x_new, new_gaps, k4
+                h = h * min(5.0, max(0.2, 0.9 * (err_norm + 1e-16) ** (-1.0 / 3.0)))
+
+            if event is None:
+                break  # reached t_end
             tau, clusters = event
             tau = min(max(tau, t), t_end)
-            st = _finalize_event(seg.state(tau, xc), tau, clusters, events, opts)
-            t, x_full, b_full = st.t, st.x.copy(), st.b.copy()
-            for tv in _pop_due(eval_queue, t, 1e-12 * max(1.0, abs(t))):
-                snapshots.append(ParticleState(tv, x_full, b_full))
+            st = _finalize_event(seg.state(tau, xc), tau, clusters, events)
+            t, x, b = st.t, st.x, st.b
 
-    final = ParticleState(t, x_full, b_full)
     for tv in _pop_due(eval_queue, t_end, 1e-12):
-        snapshots.append(ParticleState(tv, x_full, b_full))
-    return SimulationResult(final, events, diag, snapshots, stats)
+        snapshots.append(seg.state(tv, xc))
+    return SimulationResult(seg.state(t, xc), events, diag, snapshots, stats)
 
 
 def _pop_due(queue, t, tol):
@@ -586,7 +572,7 @@ def _extrapolate_event(opp, idx, gaps, prev_opp_gaps, t, t_prev, p,
     current neighbor gaps.
     """
     opp_gaps = gaps[opp]
-    if not len(opp_gaps) or len(prev_opp_gaps) != len(opp_gaps) or t <= t_prev:
+    if t <= t_prev or not len(opp_gaps) or len(prev_opp_gaps) != len(opp_gaps):
         return None
     under = opp_gaps < r_trig
     if not np.any(under):

@@ -15,6 +15,7 @@ import math
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
+from scipy.integrate import cumulative_trapezoid
 
 from .dynamics import IntegratorOptions, ParticleState, simulate
 from .errors import DataError
@@ -86,9 +87,7 @@ class SignedDensity:
         """int_-inf^x of the signed density, by fine-grid quadrature."""
         lo, hi = self.support()
         xf = np.linspace(lo, hi, 80001)
-        v = self(xf)
-        cum = np.concatenate([[0.0],
-                              np.cumsum(0.5 * (v[1:] + v[:-1]) * np.diff(xf))])
+        cum = cumulative_trapezoid(self(xf), xf, initial=0)
         return np.interp(np.asarray(x, dtype=float), xf, cum,
                          left=0.0, right=float(cum[-1]))
 
@@ -103,9 +102,7 @@ def quantile_particles(density: SignedDensity, n: int) -> ParticleState:
             continue
         lo, hi = density.support()
         xf = np.linspace(lo, hi, 80001)
-        v = density.part(sign, xf)
-        cum = np.concatenate([[0.0],
-                              np.cumsum(0.5 * (v[1:] + v[:-1]) * np.diff(xf))])
+        cum = cumulative_trapezoid(density.part(sign, xf), xf, initial=0)
         q = (np.arange(n_s) + 0.5) / n_s * cum[-1]
         xs_all.append(np.interp(q, cum, xf))
         bs_all.append(sign * np.ones(n_s, dtype=int))

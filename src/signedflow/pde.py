@@ -26,6 +26,7 @@ import math
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
+from scipy.integrate import cumulative_trapezoid
 
 from .errors import ConvergenceError
 from .potentials import ExternalField, Potential, ScalingRegime, l1_norm, mobility
@@ -113,8 +114,7 @@ class MobilityTable:
         # m = 3: sample on the half line and extend by evenness of f_3
         half = np.linspace(0.0, p_max, (num + 1) // 2)
         fh = np.array([mobility(pot, regime, float(p), tol) for p in half])
-        gh = np.concatenate([[0.0], np.cumsum(0.5 * (fh[1:] + fh[:-1])
-                                              * np.diff(half))])
+        gh = cumulative_trapezoid(fh, half, initial=0)
         ps = np.concatenate([-half[::-1][:-1], half])
         f = np.concatenate([fh[::-1][:-1], fh])
         g = np.concatenate([-gh[::-1][:-1], gh])

@@ -165,12 +165,16 @@ def _wall_derivs():
 
     def v0(x):
         # 2x e^-2x/(1 - e^-2x) - log(1 - e^-2x): cancellation-free at all x
-        # (expm1 keeps the denominator exact near 0, log1p keeps the log
-        # term for tiny u)
+        # (expm1 keeps 1 - u exact near 0, where the log takes it directly;
+        # log1p keeps the log term for small u).  Each log skips the other's
+        # entries, so log1p never sees u = 1
         x = np.asarray(x, dtype=float)
         u = np.exp(-2.0 * x)
         one_minus_u = -np.expm1(-2.0 * x)
-        return 2.0 * x * u / one_minus_u - np.log1p(-u)
+        near = u >= 0.5
+        log_term = np.log(one_minus_u, where=near, out=np.empty_like(x))
+        np.log1p(-u, where=~near, out=log_term)
+        return 2.0 * x * u / one_minus_u - log_term
 
     def v1(x):
         x = np.asarray(x, dtype=float)
@@ -620,28 +624,16 @@ def _fit_singularity(pot: Potential, opts: AuditOptions) -> dict:
             "resid": resid, "ok": resid < opts.fit_resid_max}
 
 
-def _converging_origin_integral(fn, n_decades: int = 7) -> dict:
-    """Evidence that int_0^1 fn converges: partial integrals over (10^-k, 1),
-    accumulated decade by decade so no mass is missed."""
+def _converging_integral(fn, n_decades: int, end: str) -> dict:
+    """Evidence that the integral of fn at ``end`` converges: partial
+    integrals over (10^-k, 1) at the "origin" or over (1, 10^k) in the
+    "tail", accumulated decade by decade so no mass is missed."""
+    s = -1 if end == "origin" else 1
     partials = []
     total = 0.0
     for k in range(1, n_decades + 1):
-        seg, _ = integrate.quad(fn, 10.0 ** -k, 10.0 ** -(k - 1), limit=200)
-        total += seg
-        partials.append(total)
-    incs = np.abs(np.diff(partials))
-    converged = bool(incs[-1] < 0.05 * (abs(partials[-1]) + 1e-30)
-                     and (incs[-1] <= incs[0] or incs[-1] < 1e-12))
-    return {"partials": [float(p) for p in partials],
-            "estimate": float(partials[-1]), "converged": converged}
-
-
-def _converging_tail_integral(fn, n_decades: int = 5) -> dict:
-    partials = []
-    total = 0.0
-    for k in range(1, n_decades + 1):
-        seg, _ = integrate.quad(fn, 10.0 ** (k - 1), 10.0 ** k, limit=200)
-        total += seg
+        lo, hi = sorted((10.0 ** (s * (k - 1)), 10.0 ** (s * k)))
+        total += integrate.quad(fn, lo, hi, limit=200)[0]
         partials.append(total)
     incs = np.abs(np.diff(partials))
     converged = bool(incs[-1] < 0.05 * (abs(partials[-1]) + 1e-30)
@@ -725,14 +717,14 @@ def audit_assumptions(pot: Potential, profile: str,
 
     if profile == "hj1":
         items.append(_order_item(pot, 3))
-        ev = _converging_origin_integral(lambda x: x ** 2 * pot.deriv(x, 2),
-                                         opts.origin_decades)
+        ev = _converging_integral(lambda x: x ** 2 * pot.deriv(x, 2),
+                                  opts.origin_decades, "origin")
         items.append(ComplianceItem(
             "x2_Vpp_L1_origin", "pass" if ev["converged"] else "fail", ev))
         if pot.max_order >= 3:
-            ev3 = _converging_origin_integral(
+            ev3 = _converging_integral(
                 lambda x: x ** 3 * float(pot.envelope(x, 3)),
-                opts.origin_decades)
+                opts.origin_decades, "origin")
             items.append(ComplianceItem(
                 "x3_V3_L1_origin", "pass" if ev3["converged"] else "fail", ev3))
         return ComplianceReport(pot.name, profile, items)
@@ -753,27 +745,29 @@ def audit_assumptions(pot: Potential, profile: str,
             "x4_V3_to_0_origin",
             "pass" if (x4v3[0] < 0.1 * max(x4v3[-1], 1e-12) or x4v3[0] < 1e-10) else "fail",
             {"values": [float(v) for v in x4v3[::4]]}))
-        ev3o = _converging_origin_integral(
-            lambda x: x ** 3 * float(pot.envelope(x, 3)), opts.origin_decades)
+        ev3o = _converging_integral(
+            lambda x: x ** 3 * float(pot.envelope(x, 3)),
+            opts.origin_decades, "origin")
         items.append(ComplianceItem(
             "x3_V3_L1_origin", "pass" if ev3o["converged"] else "fail", ev3o))
     else:
-        ev2 = _converging_origin_integral(lambda x: x ** 2 * pot.deriv(x, 2),
-                                          opts.origin_decades)
+        ev2 = _converging_integral(lambda x: x ** 2 * pot.deriv(x, 2),
+                                   opts.origin_decades, "origin")
         items.append(ComplianceItem(
             "x2_Vpp_L1_origin", "pass" if ev2["converged"] else "fail", ev2))
 
     for k in range(0, 4):
         if k > pot.max_order:
             break
-        ev = _converging_tail_integral(lambda x, k=k: abs(pot.deriv(x, k)),
-                                       opts.tail_decades)
+        ev = _converging_integral(lambda x, k=k: abs(pot.deriv(x, k)),
+                                  opts.tail_decades, "tail")
         items.append(ComplianceItem(
             f"tail_W31_order_{k}", "pass" if ev["converged"] else "fail", ev))
 
     if pot.max_order >= 3:
-        ev3t = _converging_tail_integral(
-            lambda x: x ** 3 * float(pot.envelope(x, 3)), opts.tail_decades)
+        ev3t = _converging_integral(
+            lambda x: x ** 3 * float(pot.envelope(x, 3)),
+            opts.tail_decades, "tail")
         items.append(ComplianceItem(
             "x3_V3_L1_tail", "pass" if ev3t["converged"] else "fail", ev3t))
 

@@ -11,7 +11,7 @@ from signedflow import (InvariantViolationError, IntegratorOptions,
                         detect_collision, energy, log_potential,
                         power_law_force_potential, riesz_potential, simulate,
                         stability_experiment, velocities, wall_potential)
-from signedflow.dynamics import _Segment
+from signedflow.dynamics import _Segment, _event_radii
 from signedflow.potentials import make_field, zero_field
 
 
@@ -183,6 +183,16 @@ def test_velocities_silence_float_warnings_at_tiny_gap():
     assert v[0] > 0 > v[1]
 
 
+def test_wall_energy_finite_at_tiny_gap():
+    # V(1e-200) is about 460; 1 - exp(-2x) rounds to 0 there, so V must
+    # take its log from the exact expm1 form
+    st = ParticleState(0.0, [0.0, 1e-200], [1, 1])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        e = energy(st, wall_potential(), 1.0)
+    assert math.isfinite(e) and e > 0
+
+
 def test_min_gaps_matches_diagnostics():
     st = ParticleState(0.0, [0.0, 1.0, 2.0, 4.0, 6.5, 8.0], [1, 1, 0, -1, -1, 1])
     assert st.min_gaps() == (1.0, 2.5, 1.5)
@@ -269,6 +279,14 @@ def test_snapshots_land_on_requested_times():
     assert [s.t for s in res.snapshots] == [0.1, 0.25, 0.5]
 
 
+def test_snapshot_within_round_off_of_start_taken_there():
+    # a request within 1e-12 max(1, |t0|) of t0 is taken at t0, unmoved
+    st = ParticleState(2.0, [-0.5, 0.5], [1, 1])
+    res = simulate(st, log_potential(), 1.0, None, 2.5, t_eval=[2.0 + 1e-12])
+    assert res.snapshots[0].t == 2.0 + 1e-12
+    assert res.snapshots[0].x.tobytes() == st.x.tobytes()
+
+
 # ---------------------------------------------------------------------------
 # annihilation rule
 # ---------------------------------------------------------------------------
@@ -327,6 +345,24 @@ def test_detect_collision_two_sample_fit():
     tau, clusters = hit
     assert tau == pytest.approx(0.5, rel=1e-6)
     assert [i for i, _ in clusters[0]] == [0, 1]
+
+
+def test_event_radii():
+    assert _event_radii(0.0) == (1e-5, 8e-5)
+    # at a = 1.5 the gap cap 0.2 d^3.5 reaches 1e-13 above 1e-5
+    r_trig, r_cluster = _event_radii(1.5)
+    assert r_trig == pytest.approx((5e-13) ** (1 / 3.5), rel=1e-12)
+    assert r_trig == pytest.approx(3.1e-4, abs=1e-5)
+    assert r_cluster == 8.0 * r_trig
+
+
+def test_detect_collision_trigger_grows_with_exponent():
+    # a closing pair 2e-4 apart is under the a = 1.5 trigger, not the a = 0 one
+    prev = ParticleState(0.0, [-1.05e-4, 1.05e-4], [1, -1])
+    cur = ParticleState(1e-9, [-1e-4, 1e-4], [1, -1])
+    hit = detect_collision(cur, prev, 1.5)
+    assert hit is not None and [i for i, _ in hit[1][0]] == [0, 1]
+    assert detect_collision(cur, prev, 0.0) is None
 
 
 def test_detect_collision_none_above_radius():
@@ -471,13 +507,25 @@ def test_each_charge_jumps_at_most_once():
 
 
 def test_stiffness_error_without_collision():
+    # a same-sign pair, and an opposite pair closing far from contact
     from signedflow import StiffnessError
-    st = ParticleState(0.0, [-0.5, 0.5], [1, 1])  # same sign, no collision
-    with pytest.raises(StiffnessError) as err:
-        simulate(st, log_potential(), 1.0, None, 1.0,
-                 opts=IntegratorOptions(rk_tol=1e-30, h_min=1e-9,
-                                        h_init=1e-8))
-    assert "t" in err.value.diagnostics
+    for b in ([1, 1], [1, -1]):
+        st = ParticleState(0.0, [-0.5, 0.5], b)
+        with pytest.raises(StiffnessError) as err:
+            simulate(st, log_potential(), 1.0, None, 1.0,
+                     opts=IntegratorOptions(rk_tol=1e-30, h_min=1e-9,
+                                            h_init=1e-8))
+        assert "t" in err.value.diagnostics
+        gap = err.value.diagnostics["min_opposite_gap"]
+        assert math.isfinite(gap) == (b[1] < 0)
+
+
+@pytest.mark.parametrize("kwargs", [
+    {"rk_tol": -1e-9}, {"rk_tol": 0.0}, {"h_init": 0.0}, {"h_init": -1e-4},
+    {"h_min": -1e-14}, {"rk_tol": float("nan")}])
+def test_integrator_options_reject_nonpositive(kwargs):
+    with pytest.raises(ValueError, match="must be positive"):
+        IntegratorOptions(**kwargs)
 
 
 def test_monotonicity_warning_for_nonmonotone_force():

@@ -104,6 +104,17 @@ def test_wall_closed_forms_high_precision():
             assert pot.deriv(x, k) == pytest.approx(ref, rel=1e-12)
 
 
+def test_wall_potential_small_arguments_high_precision():
+    # V itself down to x = 1e-200, where 1 - exp(-2x) rounds to 0
+    mp = pytest.importorskip("mpmath")
+    v0 = wall_potential().derivs[0]
+    with mp.workdps(50):
+        for x in (1e-6, 1e-10, 1e-15, 1e-17, 1e-200, 0.3, 1.0, 25.0):
+            xm = mp.mpf(x)
+            ref = float(xm * mp.coth(xm) - mp.log(2 * mp.sinh(xm)))
+            assert float(v0(x)) == pytest.approx(ref, rel=1e-15, abs=0.0), x
+
+
 def test_wall_large_argument_stable():
     pot = wall_potential()
     for k in range(5):
