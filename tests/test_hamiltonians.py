@@ -12,6 +12,7 @@ from signedflow import (ClampedProbe, DegenerateGradientError,
                         quantized_nonlocal, quartic_probe_sweep,
                         quartic_probe_value, rhs_convergence_table,
                         wall_potential)
+from signedflow import hamiltonians
 
 PI2_3 = math.pi ** 2 / 3.0
 LOGP = log_potential()
@@ -249,6 +250,42 @@ def test_quartic_probe_matches_generic_path():
 def test_quartic_probe_zero_gamma_raises():
     with pytest.raises(DegenerateGradientError):
         quartic_probe_value(LOGP, 2.0, 0.0, 1e-2, 1.0)
+
+
+def test_shifted_quartic_is_exactly_even():
+    # (z, gamma) -> (-z, -gamma) maps z + gamma to its negative exactly, so
+    # f must agree bit for bit and d1 must flip its sign bit for bit
+    z = np.linspace(-2.0, 2.0, 4001)
+    for K, gamma in [(2.0, 0.7), (2.0, 1.5), (0.5, 0.3), (4.0, 1e-3)]:
+        pos = TestFunction.shifted_quartic(K, gamma)
+        neg = TestFunction.shifted_quartic(K, -gamma)
+        assert np.array_equal(neg.f(-z), pos.f(z))
+        assert np.array_equal(neg.d1(-z), -pos.d1(z))
+
+
+@pytest.mark.parametrize("K", [-1.0, 0.0, math.nan])
+def test_quartic_probe_rejects_nonpositive_K(K):
+    with pytest.raises(ValueError):
+        quartic_probe_value(LOGP, K, 0.5, 1e-2, 1.0)
+
+
+@pytest.mark.parametrize("K, L, gammas, err", [
+    (-1.0, 2.0, [0.5], ValueError),
+    (0.0, 2.0, [0.5], ValueError),
+    (2.0, 0.0, [0.5], ValueError),
+    (2.0, 1.0, [0.5, 1.5], ValueError),
+    (2.0, 1.0, [0.5, math.nan], ValueError),
+    (2.0, 2.0, [0.5, 0.0], DegenerateGradientError),
+], ids=["K<0", "K=0", "L=0", "gamma>L", "gamma-nan", "gamma=0"])
+def test_quartic_sweep_checks_inputs_before_any_probe(monkeypatch, K, L,
+                                                      gammas, err):
+    calls = []
+    monkeypatch.setattr(hamiltonians, "quartic_probe_value",
+                        lambda *args: calls.append(args) or 0.0)
+    with pytest.raises(err):
+        quartic_probe_sweep(LOGP, ScalingRegime(m=1, alpha=1.0), K, L,
+                            [1e-1, 1e-2], gammas)
+    assert calls == []
 
 
 def test_quartic_sweep_small():

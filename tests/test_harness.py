@@ -12,6 +12,7 @@ from signedflow import (DataError, ExperimentConfig, ParticleState,
                         log_potential, power_law_force_potential,
                         quantile_particles, quartic_envelope, run_convergence,
                         simulate, sup_distance)
+from signedflow import harness
 from signedflow.harness import convergence_csv
 
 
@@ -108,6 +109,12 @@ def test_config_validation_errors():
 # quartic envelopes
 # ---------------------------------------------------------------------------
 
+def _bump(x):
+    with np.errstate(over="ignore"):
+        return np.where(np.abs(x) < 1,
+                        np.exp(-1.0 / np.maximum(1 - x ** 2, 1e-12)), 0.0)
+
+
 def test_envelope_of_zero_is_zero():
     xs = np.linspace(-3, 3, 301)
     we = quartic_envelope(xs, np.zeros_like(xs), 1.0)
@@ -127,10 +134,7 @@ def test_envelope_absolute_value_touches_everywhere():
 
 def test_envelope_mollifier_infeasible_at_center():
     xs = np.linspace(-3, 3, 401)
-    def bump(x):
-        with np.errstate(over="ignore"):
-            return np.where(np.abs(x) < 1, np.exp(-1.0 / np.maximum(1 - x ** 2, 1e-12)), 0.0)
-    we = quartic_envelope(xs, -bump(xs / 2.0), 0.01)
+    we = quartic_envelope(xs, -_bump(xs / 2.0), 0.01)
     i0 = np.argmin(np.abs(xs))
     assert not we.feasible
     assert not we.touched[i0]
@@ -170,6 +174,75 @@ def test_envelope_well_property_can_fail():
     env = we.env.copy()
     env[np.argmin(env)] -= 1e-3
     assert not dataclasses.replace(we, env=env).check_well_property()
+
+
+def _dense_reference(xs, phi, K):
+    """The dense envelope sweep with ** 4 on the signed offsets, as first
+    written; the reference for the sweep on absolute offsets."""
+    dx = xs[1] - xs[0]
+    slope_max = float(np.max(np.abs(np.diff(phi)))) / dx
+    pad = 1.5 * (slope_max / (4.0 * K)) ** (1.0 / 3.0) + 2.0 * dx
+    n_pad = int(np.ceil(pad / dx))
+    left = xs[0] - dx * np.arange(n_pad, 0, -1)
+    right = xs[-1] + dx * np.arange(1, n_pad + 1)
+    y0 = np.concatenate([left, xs, right])
+    c = np.max(phi[None, :] - K * (xs[None, :] - y0[:, None]) ** 4, axis=1)
+    wells = K * (xs[None, :] - y0[:, None]) ** 4 + c[:, None]
+    best = np.argmin(wells, axis=0)
+    env = wells[best, np.arange(len(xs))]
+    return env, y0[best]
+
+
+def _envelope_inputs():
+    rng = np.random.default_rng(1)
+    x3, x2 = np.linspace(-3, 3, 401), np.linspace(-2, 2, 257)
+    x512 = np.linspace(-2, 2, 512)
+    return {
+        "zero": (np.linspace(-3, 3, 301), np.zeros(301), 1.0),
+        "abs": (x3, -np.abs(x3), 1.0),
+        "mollifier": (x3, -_bump(x3 / 2.0), 0.01),
+        "noisy-sine": (x2, 0.3 * np.sin(3 * x2)
+                       + rng.uniform(-0.05, 0.05, len(x2)), 4.0),
+        "square": (x2, x2 ** 2, 1.0),
+        "sine": (x2, 0.3 * np.sin(3 * x2), 4.0),
+        "sine-512": (x512, 0.3 * np.sin(3 * x512), 4.0),
+    }
+
+
+@pytest.mark.parametrize("case", list(_envelope_inputs()))
+def test_envelope_matches_dense_reference(monkeypatch, case):
+    xs, phi, K = _envelope_inputs()[case]
+    we = quartic_envelope(xs, phi, K)
+    monkeypatch.setattr(harness, "_quartic_env_values", _dense_reference)
+    ref = quartic_envelope(xs, phi, K)
+    scale = max(1.0, float(np.max(np.abs(phi))))
+    assert np.max(np.abs(we.env - ref.env)) <= 1e-15 * scale
+    assert we.min_feasible_K == ref.min_feasible_K
+    # a center may differ only where two wells tie to rounding: the
+    # reference's well about the new center must attain its minimum
+    for k in np.flatnonzero(we.centers != ref.centers):
+        y0 = we.centers[k]
+        well = K * (xs[k] - y0) ** 4 + np.max(phi - K * (xs - y0) ** 4)
+        assert abs(well - ref.env[k]) <= 1e-15 * scale
+
+
+@pytest.mark.parametrize("xs, phi, K", [
+    (np.linspace(-2, 2, 64), np.zeros(64), -1.0),
+    (np.linspace(-2, 2, 64), np.zeros(64), 0.0),
+    (np.linspace(-2, 2, 64), np.zeros(64), np.inf),
+    (np.linspace(-2, 2, 64), np.zeros(64), np.nan),
+    (np.linspace(2, -2, 64), np.zeros(64), 1.0),
+    (np.linspace(-2, 2, 64) ** 3, np.zeros(64), 1.0),
+    (np.linspace(-2, 2, 64), np.where(np.arange(64) == 5, np.nan, 0.0), 1.0),
+    (np.linspace(-2, 2, 64), np.where(np.arange(64) == 5, np.inf, 0.0), 1.0),
+], ids=["K<0", "K=0", "K=inf", "K=nan", "decreasing-xs", "uneven-xs",
+        "nan-phi", "inf-phi"])
+def test_envelope_rejects_bad_input_before_any_sweep(monkeypatch, xs, phi, K):
+    def no_sweep(*args):
+        raise AssertionError("swept before validating the input")
+    monkeypatch.setattr(harness, "_quartic_env_values", no_sweep)
+    with pytest.raises(DataError):
+        quartic_envelope(xs, phi, K)
 
 
 # ---------------------------------------------------------------------------
