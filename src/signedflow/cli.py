@@ -61,7 +61,7 @@ def _cmd_pde(args) -> int:
         with open(args.out, "w") as fh:
             fh.write(out.to_csv() + "\n")
     m = args.m if args.m is not None else cfg.regime["m"]
-    print(f"pde m={m}: {info.steps} steps, max-principle violation "
+    print(f"pde m={m}: {info.summary()}, max-principle violation "
           f"{info.max_principle_violation:.2e}")
     return EXIT_OK if info.max_principle_violation <= 1e-10 else EXIT_ASSERTION
 

@@ -1,15 +1,27 @@
-"""Monotone explicit schemes for the integrated limit equations.
+"""Monotone schemes for the integrated limit equations.
 
 Local form (intermediate and lattice scalings):
 
     u_t = f_m(u_x) u_xx + U'(x) |u_x|,   f_m >= 0, f_m(0) = 0.
 
-The diffusion is advanced in flux form u_t = (G(u_x))_x with G' = f_m, which
-is pointwise identical to f_m(u_x) u_xx, provably monotone under the CFL
-bound dt <= dx^2 / (2 max f_m), and conserves the density u_x over intervals
-up to the endpoint fluxes.
+The diffusion is written in flux form u_t = (G(u_x))_x with G' = f_m, which
+is pointwise identical to f_m(u_x) u_xx, and advanced by implicit Euler: each
+step solves
 
-Nonlocal form (bounded scaling):
+    v_i - dt/dx (G(Dv_i) - G(Dv_{i-1})) = u_i + dt T(u)_i,
+    Dv_i = (v_{i+1} - v_i) / dx,
+
+by Newton's method.  The Jacobian is tridiagonal: its off-diagonal entries
+-dt f_m / dx^2 are <= 0 and its diagonal, 1 minus their sum, dominates them.
+It is an M-matrix, so the step is monotone at any dt, and the density over
+an interval changes only by the endpoint fluxes.  The transport
+T(u) = U'|u_x| stays explicit (Godunov upwinding under dt <= dx / max|U'|),
+which keeps the whole step monotone.  Accuracy, not stability, bounds the
+step: the profile moves at most one cell per step,
+
+    dt <= dx max|Du| / max|(G(Du_i) - G(Du_{i-1})) / dx|.
+
+Nonlocal form (bounded scaling), explicit:
 
     u_t = (M[u] + U'(x)) |u_x|,
 
@@ -27,8 +39,9 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 from scipy.integrate import cumulative_trapezoid
+from scipy.linalg import solve_banded
 
-from .errors import ConvergenceError
+from .errors import ConvergenceError, DataError
 from .potentials import ExternalField, Potential, ScalingRegime, l1_norm, mobility
 from .hamiltonians import kernel_second_moment
 
@@ -49,8 +62,12 @@ class GridFunction:
     def __post_init__(self):
         object.__setattr__(self, "values",
                            np.asarray(self.values, dtype=float).copy())
+        scalars = (self.x0, self.dx, self.far_left, self.far_right)
+        if not (all(map(math.isfinite, scalars))
+                and bool(np.all(np.isfinite(self.values)))):
+            raise DataError("x0, dx, values and far fields must be finite")
         if self.dx <= 0:
-            raise ValueError("dx must be positive")
+            raise DataError("dx must be positive")
 
     @property
     def n(self) -> int:
@@ -98,7 +115,13 @@ def density_from_primitive(u: GridFunction) -> GridFunction:
 
 @dataclass
 class MobilityTable:
-    """Sampled mobility f_m and its antiderivative G on [-p_max, p_max]."""
+    """Sampled mobility f_m and its antiderivative G on [-p_max, p_max].
+
+    ``f_of`` interpolates f linearly and ``g_of`` is the exact integral of
+    that interpolant, piecewise quadratic, so ``g_of' = f_of`` to rounding:
+    Newton's method in ``solve_local`` stalls without it.  Beyond the table f
+    holds its end value and G continues linearly.
+    """
 
     ps: np.ndarray
     f: np.ndarray
@@ -124,7 +147,13 @@ class MobilityTable:
         return np.interp(p, self.ps, self.f)
 
     def g_of(self, p):
-        return np.interp(p, self.ps, self.g)
+        p = np.asarray(p, dtype=float)
+        ps, f = self.ps, self.f
+        q = np.clip(p, ps[0], ps[-1])
+        k = np.clip(np.searchsorted(ps, q, side="right") - 1, 0, len(ps) - 2)
+        s = q - ps[k]
+        slope = (f[k + 1] - f[k]) / (ps[k + 1] - ps[k])
+        return self.g[k] + s * (f[k] + 0.5 * s * slope) + (p - q) * self.f_of(q)
 
     @property
     def p_max(self) -> float:
@@ -132,8 +161,23 @@ class MobilityTable:
 
 
 # ---------------------------------------------------------------------------
-# local solver (flux form + upwinded transport)
+# time loop and local solver (implicit flux form + explicit upwind transport)
 # ---------------------------------------------------------------------------
+
+NEWTON_MAX_ITERS = 50
+NEWTON_RTOL = 1e-12     # Newton stops once its update is below this * max|u|
+STEP_LIMITS = ("move", "advection", "diffusion", "snapshot", "t_end")
+
+
+def _field_on_grid(field: ExternalField | None, u0: GridFunction) -> np.ndarray:
+    """U' at the grid nodes, zero without a field."""
+    if field is None:
+        return np.zeros(u0.n)
+    uprime = np.asarray(field.uprime(u0.xs), dtype=float)
+    if not np.all(np.isfinite(uprime)):
+        raise DataError(f"field {field.name!r}: U' is not finite on the grid")
+    return uprime
+
 
 def _upwind_transport(c, dm, dp):
     """Godunov flux for u_t = c |u_x| from one-sided differences dm, dp."""
@@ -145,19 +189,39 @@ def _upwind_transport(c, dm, dp):
 
 @dataclass
 class SolveInfo:
+    """What a solve did.
+
+    ``limited_by`` counts the steps each bound set: the local move bound
+    (``move``), the transport CFL bound (``advection``), the nonlocal
+    diffusion bound (``diffusion``), a snapshot time or ``t_end``.
+    ``newton_iters`` counts the Newton iterations (one tridiagonal solve
+    each) of the implicit local steps.
+    """
+
     steps: int = 0
     dt_min: float = math.inf
     max_principle_violation: float = 0.0
+    newton_iters: int = 0
+    limited_by: dict = dc_field(
+        default_factory=lambda: dict.fromkeys(STEP_LIMITS, 0))
     snapshots: list = dc_field(default_factory=list)
+
+    def summary(self) -> str:
+        """Steps by limiting bound and Newton iterations, on one line."""
+        why = ", ".join(f"{k} {v}" for k, v in self.limited_by.items() if v)
+        steps = f"{self.steps} steps" + (f" ({why})" if why else "")
+        return f"{steps}, {self.newton_iters} Newton iterations"
 
 
 def _march(u0: GridFunction, t_end: float, t_eval, cfl_safety: float, scheme):
-    """Explicit time loop shared by both solvers.
+    """Time loop shared by both solvers.
 
-    ``scheme(u)`` returns ``(dt_stable, advance)``, where ``advance(dt)``
-    returns the values one step of size ``dt`` later.  The step is
-    ``cfl_safety * dt_stable`` clipped to land on ``t_end`` and on each
-    requested snapshot time; snapshots at times <= 0 are the initial values.
+    ``scheme(u)`` returns ``(dt_bound, reason, advance)``, where ``advance(dt)``
+    returns the values one step of size ``dt`` later and ``reason`` names the
+    bound.  The step is ``cfl_safety * dt_bound`` clipped to land on ``t_end``
+    and on each requested snapshot time; snapshots at times <= 0 are the
+    initial values.  A step that returns a non-finite value raises
+    ConvergenceError.
     """
     u = u0.values.copy()
     info = SolveInfo()
@@ -167,16 +231,22 @@ def _march(u0: GridFunction, t_end: float, t_eval, cfl_safety: float, scheme):
     lo0, hi0 = float(np.min(u)), float(np.max(u))
     t = 0.0
     while t < t_end - 1e-300:
-        dt_stable, advance = scheme(u)
-        dt = min(cfl_safety * dt_stable, t_end - t)
-        if eval_queue:
-            dt = min(dt, eval_queue[0] - t)
+        dt_bound, why, advance = scheme(u)
+        dt = cfl_safety * dt_bound
+        if t_end - t <= dt:
+            dt, why = t_end - t, "t_end"
+        if eval_queue and eval_queue[0] - t < dt:
+            dt, why = eval_queue[0] - t, "snapshot"
         dt = max(dt, 1e-15)
         u = advance(dt)
+        lo, hi = float(np.min(u)), float(np.max(u))
+        if not (math.isfinite(lo) and math.isfinite(hi)):
+            raise ConvergenceError(f"non-finite value after the step at t = {t!r}")
         t += dt
         info.steps += 1
+        info.limited_by[why] += 1
         info.dt_min = min(info.dt_min, dt)
-        over = max(float(np.max(u)) - hi0, lo0 - float(np.min(u)), 0.0)
+        over = max(hi - hi0, lo0 - lo, 0.0)
         info.max_principle_violation = max(info.max_principle_violation, over)
         while eval_queue and t >= eval_queue[0] - 1e-12:
             info.snapshots.append((eval_queue.pop(0), u.copy()))
@@ -184,50 +254,87 @@ def _march(u0: GridFunction, t_end: float, t_eval, cfl_safety: float, scheme):
     return GridFunction(u0.x0, u0.dx, u, u0.far_left, u0.far_right), info
 
 
+def _implicit_diffusion(u, rhs, dt, dx, mobility):
+    """Solve v_i - dt/dx (G(Dv_i) - G(Dv_{i-1})) = rhs_i on the interior nodes.
+
+    The end values stay at u's.  ``mobility(p)`` returns ``(f, G)`` with
+    G' = f >= 0.  Newton's method from v = u; returns (v, iterations).
+    """
+    v = u.copy()
+    r = dt / dx
+    tol = NEWTON_RTOL * float(np.max(np.abs(u)))
+    ab = np.zeros((3, len(u) - 2))
+    for it in range(1, NEWTON_MAX_ITERS + 1):
+        f, g = mobility(np.diff(v) / dx)
+        w = (r / dx) * f
+        ab[0, 1:] = ab[2, :-1] = -w[1:-1]
+        ab[1] = 1.0 + w[:-1] + w[1:]
+        step = solve_banded((1, 1), ab, v[1:-1] - rhs - r * np.diff(g),
+                            overwrite_b=True, check_finite=False)
+        v[1:-1] -= step
+        if not float(np.max(np.abs(step), initial=0.0)) > tol:
+            return v, it
+    raise ConvergenceError(
+        f"implicit step dt={dt!r}: Newton did not converge in "
+        f"{NEWTON_MAX_ITERS} iterations")
+
+
 def solve_local(u0: GridFunction, m: int, pot: Potential, beta: float,
                 field: ExternalField | None, t_end: float,
                 cfl_safety: float = 0.45, mobility_tol: float = 1e-8,
-                t_eval=None, overflow_guard: float = 1e12):
+                t_eval=None):
     """Advance u_t = f_m(u_x) u_xx + U'|u_x| to t_end (m = 2 or 3).
 
-    Returns (GridFunction, SolveInfo); SolveInfo.snapshots holds (t, values)
-    pairs at the requested times.
+    Implicit Euler in the diffusion, explicit upwinding in the transport (see
+    the module docstring).  Returns (GridFunction, SolveInfo);
+    SolveInfo.snapshots holds (t, values) pairs at the requested times.
+    Raises ConvergenceError when a step's Newton iteration does not converge.
     """
     if m not in (2, 3):
         raise ValueError("local solver covers m = 2 and m = 3")
-    regime = ScalingRegime(m=m, beta=beta)
     dx = u0.dx
-    uprime = np.zeros(u0.n) if field is None else np.asarray(
-        field.uprime(u0.xs), dtype=float)
+    uprime = _field_on_grid(field, u0)
     max_up = float(np.max(np.abs(uprime)))
 
-    slopes0 = np.abs(np.diff(u0.values)) / dx
-    p_max = max(2.0 * float(np.max(slopes0, initial=0.0)), 1.0)
-    table = MobilityTable.build(pot, regime, p_max, tol=mobility_tol)
+    table = None    # m = 3: built on the first step, rebuilt when outgrown
+    if m == 2:
+        c = l1_norm(pot, mobility_tol)
+
+        def mobility(p):
+            # f = c|p| and G = c p|p|/2 in closed form: no table to outgrow
+            f = c * np.abs(p)
+            return f, 0.5 * f * p
+    else:
+        regime = ScalingRegime(m=m, beta=beta)
+
+        def mobility(p):
+            return table.f_of(p), table.g_of(p)
+    newton_iters = 0
 
     def scheme(u):
         nonlocal table
         d = np.diff(u) / dx
-        if float(np.max(np.abs(d), initial=0.0)) > table.p_max:
-            table = MobilityTable.build(pot, regime,
-                                        2.0 * float(np.max(np.abs(d))),
+        d_max = float(np.max(np.abs(d), initial=0.0))
+        if m == 3 and (table is None or d_max > table.p_max):
+            table = MobilityTable.build(pot, regime, max(2.0 * d_max, 1.0),
                                         tol=mobility_tol)
-        fmax = float(np.max(table.f_of(d), initial=0.0))
-        if fmax > overflow_guard:
-            raise ConvergenceError("mobility exceeded the overflow guard")
-        dt_diff = dx ** 2 / (2.0 * fmax) if fmax > 0 else math.inf
+        rate = float(np.max(np.abs(np.diff(mobility(d)[1])), initial=0.0)) / dx
+        dt_move = dx * d_max / rate if rate > 0 else math.inf
         dt_adv = dx / max_up if max_up > 0 else math.inf
-        g = table.g_of(d)
 
         def advance(dt):
-            unew = u.copy()
-            unew[1:-1] += dt / dx * (g[1:] - g[:-1])
+            nonlocal newton_iters
+            rhs = u[1:-1]
             if max_up > 0:
-                unew[1:-1] += dt * _upwind_transport(uprime[1:-1], d[:-1], d[1:])
-            return unew
-        return min(dt_diff, dt_adv), advance
+                rhs = rhs + dt * _upwind_transport(uprime[1:-1], d[:-1], d[1:])
+            v, iters = _implicit_diffusion(u, rhs, dt, dx, mobility)
+            newton_iters += iters
+            return v
+        return (*min((dt_move, "move"), (dt_adv, "advection")), advance)
 
-    return _march(u0, t_end, t_eval, cfl_safety, scheme)
+    out, info = _march(u0, t_end, t_eval, cfl_safety, scheme)
+    info.newton_iters = newton_iters
+    return out, info
 
 
 # ---------------------------------------------------------------------------
@@ -288,8 +395,7 @@ def solve_nonlocal(u0: GridFunction, pot: Potential, alpha: float,
     vp_left = np.abs(alpha ** 2 * pot.deriv(alpha * r_left, 1))
     vp_right = np.abs(alpha ** 2 * pot.deriv(alpha * r_right, 1))
 
-    uprime = np.zeros(n) if field is None else np.asarray(
-        field.uprime(xs), dtype=float)
+    uprime = _field_on_grid(field, u0)
 
     def scheme(u):
         s = np.diff(u) / dx
@@ -310,6 +416,6 @@ def solve_nonlocal(u0: GridFunction, pot: Potential, alpha: float,
             unew = u.copy()
             unew[1:-1] += dt * _upwind_transport(vel[1:-1], s[:-1], s[1:])
             return unew
-        return min(dt_adv, dt_diff), advance
+        return (*min((dt_adv, "advection"), (dt_diff, "diffusion")), advance)
 
     return _march(u0, t_end, t_eval, cfl_safety, scheme)

@@ -286,7 +286,8 @@ def test_criterion_8_pde_solvers():
     assert l1e <= 0.02, l1e
     assert el < 30.0, f"runtime {el:.1f}s"
     _report(8, True, f"constants exact, max principle clean, self-similar "
-                     f"L1 err {l1e:.2e} on 2048 nodes; {el:.0f}s")
+                     f"L1 err {l1e:.2e} on 2048 nodes in {info.summary()}; "
+                     f"{el:.2f}s")
 
 
 # ---------------------------------------------------------------------------

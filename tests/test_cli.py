@@ -62,12 +62,24 @@ def test_simulate_writes_outputs(tmp_path, capsys):
     assert "set by the gap cap" in summary
 
 
-def test_pde_subcommand(tmp_path):
+def test_pde_subcommand(tmp_path, capsys):
     cfg = _write_cfg(tmp_path)
     out = tmp_path / "grid.csv"
     code = main(["pde", "--config", str(cfg), "--out", str(out)])
     assert code == 0
     assert out.read_text().splitlines()[0] == "x,u"
+    summary = capsys.readouterr().out
+    assert "steps (move " in summary and "t_end 1)" in summary
+    assert "Newton iterations" in summary
+
+
+@pytest.mark.parametrize("m", [1, 2])
+def test_pde_subcommand_rejects_non_finite_grid(tmp_path, capsys, m):
+    cfg = _write_cfg(tmp_path, {"grid": {"half_width": float("nan"),
+                                         "nodes": 50, "rho": 0.5}})
+    code = main(["pde", "--config", str(cfg), "--m", str(m)])
+    assert code == 1
+    assert "must be finite" in capsys.readouterr().err
 
 
 def test_converge_subcommand(tmp_path):

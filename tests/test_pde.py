@@ -5,7 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from signedflow import (GridFunction, ParticleState, cumulative_charge,
+from signedflow import (ConvergenceError, DataError, GridFunction,
+                        ParticleState, cumulative_charge,
                         density_from_primitive, l1_norm, log_potential,
                         simulate, solve_local, solve_nonlocal, sup_distance,
                         wall_potential)
@@ -144,6 +145,31 @@ def test_discrete_comparison_principle():
         assert np.all(a.values <= b.values + 1e-10)
 
 
+def test_local_monotone_at_large_steps(wall_l1):
+    # one implicit step 60x the explicit bound dx^2 / (2 max f) keeps the
+    # maximum principle exactly and keeps ordered data ordered
+    rng = np.random.default_rng(7)
+    xs = np.linspace(-2, 2, 129)
+    dx = xs[1] - xs[0]
+    for trial in range(3):
+        base = np.tanh(xs) * 0.4
+        bump = rng.uniform(0.05, 0.2) * np.exp(-xs ** 2 / rng.uniform(0.3, 1.0))
+        pair = [base - bump, base + bump]
+        for v in pair:
+            v[0] = v[1]; v[-1] = v[-2]
+        explicit = min(dx ** 2 / (2 * wall_l1 * np.max(np.abs(np.diff(v)) / dx))
+                       for v in pair)
+        t_end = 60.0 * explicit
+        outs = []
+        for v in pair:
+            u0 = GridFunction(-2.0, dx, v, v[0], v[-1])
+            out, info = solve_local(u0, 2, WALL, 1.0, None, t_end, cfl_safety=5.0)
+            assert info.steps == 1 and info.dt_min == t_end
+            assert info.max_principle_violation == 0.0
+            outs.append(out.values)
+        assert np.all(outs[0] <= outs[1])
+
+
 def test_grid_refinement_first_order(wall_l1):
     D = wall_l1 / 2.0
     L, t0 = 3.2, 1.0
@@ -179,9 +205,9 @@ def test_flux_form_mass_conservation(wall_l1):
 
 
 def test_one_step_flux_identity(wall_l1):
-    # exact discrete identity: the staggered-density mass over an interior
-    # window changes only by the endpoint fluxes G(u_x), with G the solver's
-    # own mobility antiderivative
+    # exact discrete identity of the implicit step: the staggered-density mass
+    # over an interior window changes only by the endpoint fluxes G(u_x) at the
+    # end-of-step slopes, with G the solver's own mobility antiderivative
     from signedflow import MobilityTable, ScalingRegime
     D = wall_l1 / 2.0
     xs = np.linspace(-3.2, 3.2, 257)
@@ -191,16 +217,102 @@ def test_one_step_flux_identity(wall_l1):
     d0 = np.diff(v0) / dx
     p_max = max(2.0 * float(np.max(np.abs(d0))), 1.0)
     table = MobilityTable.build(WALL, ScalingRegime(m=2), p_max, tol=1e-8)
-    g0 = table.g_of(d0)
     fmax = float(np.max(table.f_of(d0)))
-    dt = 0.9 * 0.45 * dx ** 2 / (2 * fmax)  # strictly below one CFL step
+    dt = 0.9 * 0.45 * dx ** 2 / (2 * fmax)  # far below one step's move bound
     out, info = solve_local(u0, 2, WALL, 1.0, None, dt, cfl_safety=0.45)
     assert info.steps == 1
     d1 = np.diff(out.values) / dx
+    g1 = table.g_of(d1)
     a, b = 40, 200
     mass_change = float(np.sum(d1[a:b] - d0[a:b])) * dx
-    flux_change = info.dt_min / dx * ((g0[b] - g0[b - 1]) - (g0[a] - g0[a - 1]))
+    flux_change = info.dt_min / dx * ((g1[b] - g1[b - 1]) - (g1[a] - g1[a - 1]))
     assert mass_change == pytest.approx(flux_change, abs=1e-14)
+
+
+@pytest.mark.parametrize("m", [2, 3])
+def test_mobility_antiderivative_matches_f(m):
+    # Newton's Jacobian takes f_of as the derivative of g_of: they must agree
+    # between the table nodes and beyond the table, not only at the nodes
+    from signedflow import MobilityTable, ScalingRegime
+    table = MobilityTable.build(WALL, ScalingRegime(m=m, beta=1.0), 3.0, num=65)
+    h = np.diff(table.ps)
+    p = np.concatenate([table.ps[:-1] + 0.3 * h, [-4.5, 4.5]])
+    e = 1e-4 * h[0]
+    slope = (table.g_of(p + e) - table.g_of(p - e)) / (2 * e)
+    assert slope == pytest.approx(table.f_of(p), rel=1e-8)
+
+
+def test_solve_info_counts_step_limits():
+    # every step is charged to exactly one bound; Newton runs once per step
+    # at least, and the nonlocal solver makes no Newton iteration
+    fld = make_field({"kind": "tilt", "c": 40.0})
+    xs = np.linspace(-2, 2, 129)
+    vals = 0.5 * (1 + np.tanh(2 * xs))
+    vals[0] = vals[1]; vals[-1] = vals[-2]
+    u0 = GridFunction(-2.0, xs[1] - xs[0], vals, vals[0], vals[-1])
+    for field, bound in ((None, "move"), (fld, "advection")):
+        _, info = solve_local(u0, 2, WALL, 1.0, field, 0.02, t_eval=[0.0101])
+        assert sum(info.limited_by.values()) == info.steps
+        assert info.limited_by[bound] == info.steps - 2
+        assert info.limited_by["snapshot"] == info.limited_by["t_end"] == 1
+        assert info.newton_iters >= info.steps
+    _, info = solve_nonlocal(u0, LOGP, 1.0, None, 0.02)
+    assert sum(info.limited_by.values()) == info.steps
+    assert info.limited_by["move"] == info.newton_iters == 0
+
+
+def test_newton_iteration_cap_raises(wall_l1, monkeypatch):
+    from signedflow import pde
+    monkeypatch.setattr(pde, "NEWTON_MAX_ITERS", 1)
+    xs = np.linspace(-3.2, 3.2, 129)
+    u0 = GridFunction(-3.2, xs[1] - xs[0],
+                      barenblatt_primitive(1.0, xs, 1.0, wall_l1 / 2.0), 0.0, 1.0)
+    with pytest.raises(ConvergenceError, match="Newton"):
+        solve_local(u0, 2, WALL, 1.0, None, 0.1)
+
+
+@pytest.mark.parametrize("x0, dx, values, far", [
+    (math.nan, 0.1, [0.0, 1.0], (0.0, 1.0)),
+    (math.inf, 0.1, [0.0, 1.0], (0.0, 1.0)),
+    (0.0, math.nan, [0.0, 1.0], (0.0, 1.0)),
+    (0.0, math.inf, [0.0, 1.0], (0.0, 1.0)),
+    (0.0, 0.1, [0.0, math.nan], (0.0, 1.0)),
+    (0.0, 0.1, [-math.inf, 1.0], (0.0, 1.0)),
+    (0.0, 0.1, [0.0, 1.0], (math.nan, 1.0)),
+    (0.0, 0.1, [0.0, 1.0], (0.0, math.inf)),
+    (0.0, 0.0, [0.0, 1.0], (0.0, 1.0)),
+    (0.0, -0.1, [0.0, 1.0], (0.0, 1.0)),
+], ids=["x0-nan", "x0-inf", "dx-nan", "dx-inf", "value-nan", "value-inf",
+        "far-left-nan", "far-right-inf", "dx-zero", "dx-negative"])
+def test_grid_function_rejects_bad_input(x0, dx, values, far):
+    with pytest.raises(DataError):
+        GridFunction(x0, dx, np.array(values), *far)
+
+
+@pytest.mark.parametrize("solve", [
+    lambda u0, fld: solve_local(u0, 2, WALL, 1.0, fld, 0.02),
+    lambda u0, fld: solve_nonlocal(u0, LOGP, 1.0, fld, 0.02),
+], ids=["local", "nonlocal"])
+def test_non_finite_field_rejected(solve):
+    from signedflow import ExternalField
+    fld = ExternalField(u=lambda x: np.zeros_like(x),
+                        uprime=lambda x: np.where(x > 0.5, np.nan, 1.0))
+    xs = np.linspace(-2, 2, 65)
+    vals = 0.5 * (1 + np.tanh(2 * xs))
+    vals[0] = vals[1]; vals[-1] = vals[-2]
+    u0 = GridFunction(-2.0, xs[1] - xs[0], vals, vals[0], vals[-1])
+    with pytest.raises(DataError):
+        solve(u0, fld)
+
+
+def test_march_rejects_non_finite_step():
+    from signedflow.pde import _march
+    u0 = GridFunction(0.0, 0.1, np.zeros(5), 0.0, 0.0)
+
+    def scheme(u):
+        return 0.1, "move", lambda dt: np.where(np.arange(5) == 2, np.nan, u)
+    with pytest.raises(ConvergenceError):
+        _march(u0, 1.0, None, 0.45, scheme)
 
 
 @pytest.mark.parametrize("solve", [
