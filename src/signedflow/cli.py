@@ -60,6 +60,14 @@ def _cmd_pde(args) -> int:
     if args.out:
         with open(args.out, "w") as fh:
             fh.write(out.to_csv() + "\n")
+    if args.stats:
+        with open(args.stats, "w") as fh:
+            json.dump({"steps": info.steps, "limited_by": info.limited_by,
+                       "newton_iters": info.newton_iters,
+                       # no step leaves dt_min infinite, which JSON cannot hold
+                       "dt_min": info.dt_min if info.steps else None,
+                       "max_principle_violation": info.max_principle_violation},
+                      fh, indent=2)
     m = args.m if args.m is not None else cfg.regime["m"]
     print(f"pde m={m}: {info.summary()}, max-principle violation "
           f"{info.max_principle_violation:.2e}")
@@ -170,6 +178,7 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--config", required=True)
     s.add_argument("--m", type=int, choices=(1, 2, 3))
     s.add_argument("--out", help="grid CSV path")
+    s.add_argument("--stats", help="solve statistics JSON path")
     s.set_defaults(fn=_cmd_pde)
 
     s = sub.add_parser("converge", help="discrete-to-continuum sweep")

@@ -21,15 +21,19 @@ step: the profile moves at most one cell per step,
 
     dt <= dx max|Du| / max|(G(Du_i) - G(Du_{i-1})) / dx|.
 
-Nonlocal form (bounded scaling), explicit:
+Nonlocal form (bounded scaling):
 
     u_t = (M[u] + U'(x)) |u_x|,
 
 where M[u](x) is the compensated kernel integral with the local quadratic
-interpolant of u in the ball slot (contributing u_xx/2 times the kernel's
-second moment) and the raw grid values outside.  |u_x| is upwinded on the
-sign of the frozen velocity (Godunov), so constants are preserved and the
-discrete maximum principle holds.
+interpolant of u in the ball slot and the raw grid values outside.  The ball
+slot contributes (i2/2) u_xx |u_x|, i2 the kernel's second moment: the m = 2
+diffusion with mobility f = (i2/2)|p|, so it takes the same implicit step.
+Only the far field far[u] + U' is an explicit velocity, upwinded on its sign
+(Godunov) under dt <= dx / max|far[u] + U'|.  Both solvers therefore take
+one kind of step, an explicit monotone transport followed by an M-matrix
+solve: constants are preserved and the discrete maximum principle holds at
+any dt within the transport bound, however large the ball term's slopes.
 """
 
 from __future__ import annotations
@@ -39,7 +43,7 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 from scipy.integrate import cumulative_trapezoid
-from scipy.linalg import solve_banded
+from scipy.linalg.lapack import dgtsv
 
 from .errors import ConvergenceError, DataError
 from .potentials import ExternalField, Potential, ScalingRegime, l1_norm, mobility
@@ -161,12 +165,14 @@ class MobilityTable:
 
 
 # ---------------------------------------------------------------------------
-# time loop and local solver (implicit flux form + explicit upwind transport)
+# time loop, shared step (explicit upwind transport + implicit flux form)
+# and local solver
 # ---------------------------------------------------------------------------
 
 NEWTON_MAX_ITERS = 50
 NEWTON_RTOL = 1e-12     # Newton stops once its update is below this * max|u|
-STEP_LIMITS = ("move", "advection", "diffusion", "snapshot", "t_end")
+VELOCITY_GUARD = 1e8    # an explicit velocity above this means a gradient blowup
+STEP_LIMITS = ("move", "advection", "snapshot", "t_end")
 
 
 def _field_on_grid(field: ExternalField | None, u0: GridFunction) -> np.ndarray:
@@ -191,11 +197,11 @@ def _upwind_transport(c, dm, dp):
 class SolveInfo:
     """What a solve did.
 
-    ``limited_by`` counts the steps each bound set: the local move bound
-    (``move``), the transport CFL bound (``advection``), the nonlocal
-    diffusion bound (``diffusion``), a snapshot time or ``t_end``.
+    ``limited_by`` counts the steps each bound set: the move bound of the
+    implicit diffusion (``move``), the CFL bound of the explicit velocity,
+    U' or far[u] + U' (``advection``), a snapshot time or ``t_end``.
     ``newton_iters`` counts the Newton iterations (one tridiagonal solve
-    each) of the implicit local steps.
+    each) of the implicit steps of either solver.
     """
 
     steps: int = 0
@@ -263,20 +269,68 @@ def _implicit_diffusion(u, rhs, dt, dx, mobility):
     v = u.copy()
     r = dt / dx
     tol = NEWTON_RTOL * float(np.max(np.abs(u)))
-    ab = np.zeros((3, len(u) - 2))
     for it in range(1, NEWTON_MAX_ITERS + 1):
         f, g = mobility(np.diff(v) / dx)
         w = (r / dx) * f
-        ab[0, 1:] = ab[2, :-1] = -w[1:-1]
-        ab[1] = 1.0 + w[:-1] + w[1:]
-        step = solve_banded((1, 1), ab, v[1:-1] - rhs - r * np.diff(g),
-                            overwrite_b=True, check_finite=False)
+        off, diag = -w[1:-1], 1.0 + w[:-1] + w[1:]
+        res = v[1:-1] - rhs - r * np.diff(g)
+        if len(diag) < 2:   # dgtsv's wrapper rejects systems of order < 2
+            step, info = res / diag, 0
+        else:
+            *_, step, info = dgtsv(off, diag, off.copy(), res, 1, 1, 1, 1)
+        if info != 0:
+            raise ConvergenceError(
+                f"implicit step dt={dt!r}: singular Jacobian (dgtsv info {info})")
         v[1:-1] -= step
         if not float(np.max(np.abs(step), initial=0.0)) > tol:
             return v, it
     raise ConvergenceError(
         f"implicit step dt={dt!r}: Newton did not converge in "
         f"{NEWTON_MAX_ITERS} iterations")
+
+
+def _abs_mobility(c: float):
+    """f = c|p| and G = c p|p|/2 in closed form: no table to outgrow."""
+    def mobility(p):
+        f = c * np.abs(p)
+        return f, 0.5 * f * p
+    return mobility
+
+
+def _implicit_march(u0: GridFunction, t_end: float, t_eval, cfl_safety: float,
+                    prepare):
+    """Both solvers' step: explicit upwind transport, then implicit diffusion.
+
+    ``prepare(u, d)``, with d the slopes of u, returns ``(mobility, vel)``
+    for the step from u: the diffusion u_t = (G(u_x))_x and the explicit
+    velocity of u_t = vel |u_x|.  The step bound is the smaller of "the
+    profile moves at most one cell" and dx / max|vel|.
+    """
+    dx = u0.dx
+    newton_iters = 0
+
+    def scheme(u):
+        d = np.diff(u) / dx
+        mobility, vel = prepare(u, d)
+        d_max = float(np.max(np.abs(d), initial=0.0))
+        rate = float(np.max(np.abs(np.diff(mobility(d)[1])), initial=0.0)) / dx
+        dt_move = dx * d_max / rate if rate > 0 else math.inf
+        vmax = float(np.max(np.abs(vel)))
+        dt_adv = dx / vmax if vmax > 0 else math.inf
+
+        def advance(dt):
+            nonlocal newton_iters
+            rhs = u[1:-1]
+            if vmax > 0:
+                rhs = rhs + dt * _upwind_transport(vel[1:-1], d[:-1], d[1:])
+            v, iters = _implicit_diffusion(u, rhs, dt, dx, mobility)
+            newton_iters += iters
+            return v
+        return (*min((dt_move, "move"), (dt_adv, "advection")), advance)
+
+    out, info = _march(u0, t_end, t_eval, cfl_safety, scheme)
+    info.newton_iters = newton_iters
+    return out, info
 
 
 def solve_local(u0: GridFunction, m: int, pot: Potential, beta: float,
@@ -292,49 +346,28 @@ def solve_local(u0: GridFunction, m: int, pot: Potential, beta: float,
     """
     if m not in (2, 3):
         raise ValueError("local solver covers m = 2 and m = 3")
-    dx = u0.dx
     uprime = _field_on_grid(field, u0)
-    max_up = float(np.max(np.abs(uprime)))
-
-    table = None    # m = 3: built on the first step, rebuilt when outgrown
     if m == 2:
-        c = l1_norm(pot, mobility_tol)
+        mobility = _abs_mobility(l1_norm(pot, mobility_tol))
 
-        def mobility(p):
-            # f = c|p| and G = c p|p|/2 in closed form: no table to outgrow
-            f = c * np.abs(p)
-            return f, 0.5 * f * p
+        def prepare(u, d):
+            return mobility, uprime
     else:
         regime = ScalingRegime(m=m, beta=beta)
+        table = None    # built on the first step, rebuilt when outgrown
 
         def mobility(p):
             return table.f_of(p), table.g_of(p)
-    newton_iters = 0
 
-    def scheme(u):
-        nonlocal table
-        d = np.diff(u) / dx
-        d_max = float(np.max(np.abs(d), initial=0.0))
-        if m == 3 and (table is None or d_max > table.p_max):
-            table = MobilityTable.build(pot, regime, max(2.0 * d_max, 1.0),
-                                        tol=mobility_tol)
-        rate = float(np.max(np.abs(np.diff(mobility(d)[1])), initial=0.0)) / dx
-        dt_move = dx * d_max / rate if rate > 0 else math.inf
-        dt_adv = dx / max_up if max_up > 0 else math.inf
+        def prepare(u, d):
+            nonlocal table
+            d_max = float(np.max(np.abs(d), initial=0.0))
+            if table is None or d_max > table.p_max:
+                table = MobilityTable.build(pot, regime, max(2.0 * d_max, 1.0),
+                                            tol=mobility_tol)
+            return mobility, uprime
 
-        def advance(dt):
-            nonlocal newton_iters
-            rhs = u[1:-1]
-            if max_up > 0:
-                rhs = rhs + dt * _upwind_transport(uprime[1:-1], d[:-1], d[1:])
-            v, iters = _implicit_diffusion(u, rhs, dt, dx, mobility)
-            newton_iters += iters
-            return v
-        return (*min((dt_move, "move"), (dt_adv, "advection")), advance)
-
-    out, info = _march(u0, t_end, t_eval, cfl_safety, scheme)
-    info.newton_iters = newton_iters
-    return out, info
+    return _implicit_march(u0, t_end, t_eval, cfl_safety, prepare)
 
 
 # ---------------------------------------------------------------------------
@@ -373,19 +406,20 @@ def _apply_kernel(kernel: np.ndarray, v: np.ndarray) -> np.ndarray:
 def solve_nonlocal(u0: GridFunction, pot: Potential, alpha: float,
                    field: ExternalField | None, t_end: float,
                    rho: float = 0.5, cfl_safety: float = 0.45,
-                   quad_tol: float = 1e-9, t_eval=None,
-                   velocity_guard: float = 1e8):
+                   quad_tol: float = 1e-9, t_eval=None):
     """Advance u_t = (M[u] + U') |u_x| to t_end.
 
-    The ball radius snaps to a whole number of cells (at least 2).  Velocity
-    overflow raises with a grid-refinement hint.
+    The ball term is an implicit m = 2 diffusion and far[u] + U' an explicit
+    upwinded velocity (see the module docstring).  The ball radius snaps to
+    a whole number of cells (at least 2).  An explicit velocity above
+    VELOCITY_GUARD raises ConvergenceError with a grid-refinement hint.
     """
     dx = u0.dx
     n = u0.n
     xs = u0.xs
     k_off = max(2, int(round(rho / dx)))
     rho_eff = k_off * dx
-    i2 = kernel_second_moment(pot, alpha, rho_eff, quad_tol)
+    ball = _abs_mobility(0.5 * kernel_second_moment(pot, alpha, rho_eff, quad_tol))
     dvp, dwc = _farfield_kernels(pot, alpha, dx, n, k_off)
     row_dvp = _apply_kernel(dvp, np.ones(n - 1))
 
@@ -397,25 +431,13 @@ def solve_nonlocal(u0: GridFunction, pot: Potential, alpha: float,
 
     uprime = _field_on_grid(field, u0)
 
-    def scheme(u):
-        s = np.diff(u) / dx
-        uxx = np.zeros(n)
-        uxx[1:-1] = (u[2:] - 2 * u[1:-1] + u[:-2]) / dx ** 2
-        far = _apply_kernel(dvp, u[:-1]) - u * row_dvp + _apply_kernel(dwc, s)
-        far += (u0.far_left - u) * vp_left + (u0.far_right - u) * vp_right
-        vel = 0.5 * i2 * uxx + far + uprime
-        vmax = float(np.max(np.abs(vel)))
-        if vmax > velocity_guard:
+    def prepare(u, d):
+        vel = _apply_kernel(dvp, u[:-1]) - u * row_dvp + _apply_kernel(dwc, d)
+        vel += (u0.far_left - u) * vp_left + (u0.far_right - u) * vp_right
+        vel += uprime
+        if float(np.max(np.abs(vel))) > VELOCITY_GUARD:
             raise ConvergenceError(
                 "velocity overflow near a gradient blowup; refine dx")
-        ux_max = float(np.max(np.abs(s), initial=0.0))
-        dt_adv = dx / vmax if vmax > 0 else math.inf
-        dt_diff = dx ** 2 / (i2 * ux_max) if i2 * ux_max > 0 else math.inf
+        return ball, vel
 
-        def advance(dt):
-            unew = u.copy()
-            unew[1:-1] += dt * _upwind_transport(vel[1:-1], s[:-1], s[1:])
-            return unew
-        return (*min((dt_adv, "advection"), (dt_diff, "diffusion")), advance)
-
-    return _march(u0, t_end, t_eval, cfl_safety, scheme)
+    return _implicit_march(u0, t_end, t_eval, cfl_safety, prepare)

@@ -65,12 +65,21 @@ def test_simulate_writes_outputs(tmp_path, capsys):
 def test_pde_subcommand(tmp_path, capsys):
     cfg = _write_cfg(tmp_path)
     out = tmp_path / "grid.csv"
-    code = main(["pde", "--config", str(cfg), "--out", str(out)])
+    stats = tmp_path / "stats.json"
+    code = main(["pde", "--config", str(cfg), "--out", str(out),
+                 "--stats", str(stats)])
     assert code == 0
     assert out.read_text().splitlines()[0] == "x,u"
     summary = capsys.readouterr().out
     assert "steps (move " in summary and "t_end 1)" in summary
     assert "Newton iterations" in summary
+    st = json.loads(stats.read_text())
+    assert st["steps"] == sum(st["limited_by"].values()) > 0
+    assert st["limited_by"]["t_end"] == 1
+    assert st["newton_iters"] >= st["steps"]
+    assert 0 < st["dt_min"] <= 0.1
+    assert st["max_principle_violation"] <= 1e-10
+    assert f"{st['steps']} steps" in summary
 
 
 @pytest.mark.parametrize("m", [1, 2])

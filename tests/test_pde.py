@@ -170,6 +170,68 @@ def test_local_monotone_at_large_steps(wall_l1):
         assert np.all(outs[0] <= outs[1])
 
 
+def _old_ball_bound(v, dx, rho=0.5):
+    """The explicit ball-term bound dx^2 / (i2 max|u_x|) of the log kernel."""
+    from signedflow.hamiltonians import kernel_second_moment
+    i2 = kernel_second_moment(LOGP, 1.0, max(2, round(rho / dx)) * dx)
+    return dx ** 2 / (i2 * float(np.max(np.abs(np.diff(v)))) / dx)
+
+
+def test_nonlocal_monotone_at_large_steps():
+    # one step 50x the explicit ball-term bound, inside the transport CFL
+    # bound (cfl_safety = 1): the implicit ball term keeps the maximum
+    # principle exactly on signed data and keeps ordered data ordered
+    rng = np.random.default_rng(7)
+    xs = np.linspace(-2, 2, 513)
+    dx = xs[1] - xs[0]
+    signed = 0.4 * np.exp(-xs ** 2 / 0.1)
+    cases = [[signed]]
+    for trial in range(2):
+        base = np.tanh(2 * xs) * 0.4
+        bump = rng.uniform(0.05, 0.2) * np.exp(-xs ** 2 / rng.uniform(0.3, 1.0))
+        cases.append([base - bump, base + bump])
+    for vals in cases:
+        for v in vals:
+            v[0] = v[1]; v[-1] = v[-2]
+        t_end = 50.0 * min(_old_ball_bound(v, dx) for v in vals)
+        outs = []
+        for v in vals:
+            u0 = GridFunction(-2.0, dx, v, v[0], v[-1])
+            out, info = solve_nonlocal(u0, LOGP, 1.0, None, t_end, cfl_safety=1.0)
+            assert info.steps == 1 and info.dt_min == t_end
+            assert info.max_principle_violation == 0.0
+            outs.append(out.values)
+        if len(outs) == 2:
+            assert np.all(outs[0] <= outs[1])
+
+
+def test_nonlocal_semicircle_spreads():
+    # the unit-mass semicircle spreads as R(t)^2 = R0^2 + 4t under the log
+    # kernel at alpha = 1, in a few dozen steps
+    def primitive(r, x):
+        xc = np.clip(x, -r, r)
+        return 0.5 + (xc * np.sqrt(r * r - xc * xc)
+                      + r * r * np.arcsin(xc / r)) / (math.pi * r * r)
+    xs = np.linspace(-3.0, 3.0, 512)
+    u0 = GridFunction(-3.0, xs[1] - xs[0], primitive(1.0, xs), 0.0, 1.0)
+    out, info = solve_nonlocal(u0, LOGP, 1.0, None, 0.2, rho=0.5)
+    err = float(np.max(np.abs(out.values - primitive(math.sqrt(1.0 + 0.8), xs))))
+    assert err <= 0.015
+    assert info.steps <= 100
+    assert info.max_principle_violation == 0.0
+
+
+def test_nonlocal_velocity_guard_raises(monkeypatch):
+    from signedflow import pde
+    monkeypatch.setattr(pde, "VELOCITY_GUARD", 1e-3)
+    xs = np.linspace(-2, 2, 129)
+    vals = 0.5 * (1 + np.tanh(2 * xs))
+    vals[0] = vals[1]; vals[-1] = vals[-2]
+    u0 = GridFunction(-2.0, xs[1] - xs[0], vals, vals[0], vals[-1])
+    with pytest.raises(ConvergenceError, match="refine dx"):
+        solve_nonlocal(u0, LOGP, 1.0, None, 0.02)
+
+
 def test_grid_refinement_first_order(wall_l1):
     D = wall_l1 / 2.0
     L, t0 = 3.2, 1.0
@@ -243,8 +305,8 @@ def test_mobility_antiderivative_matches_f(m):
 
 
 def test_solve_info_counts_step_limits():
-    # every step is charged to exactly one bound; Newton runs once per step
-    # at least, and the nonlocal solver makes no Newton iteration
+    # every step is charged to exactly one bound and Newton runs once per
+    # step at least, in both solvers
     fld = make_field({"kind": "tilt", "c": 40.0})
     xs = np.linspace(-2, 2, 129)
     vals = 0.5 * (1 + np.tanh(2 * xs))
@@ -257,8 +319,9 @@ def test_solve_info_counts_step_limits():
         assert info.limited_by["snapshot"] == info.limited_by["t_end"] == 1
         assert info.newton_iters >= info.steps
     _, info = solve_nonlocal(u0, LOGP, 1.0, None, 0.02)
+    assert "diffusion" not in info.limited_by
     assert sum(info.limited_by.values()) == info.steps
-    assert info.limited_by["move"] == info.newton_iters == 0
+    assert info.newton_iters >= info.steps
 
 
 def test_newton_iteration_cap_raises(wall_l1, monkeypatch):
@@ -269,6 +332,31 @@ def test_newton_iteration_cap_raises(wall_l1, monkeypatch):
                       barenblatt_primitive(1.0, xs, 1.0, wall_l1 / 2.0), 0.0, 1.0)
     with pytest.raises(ConvergenceError, match="Newton"):
         solve_local(u0, 2, WALL, 1.0, None, 0.1)
+
+
+def test_singular_jacobian_raises():
+    # a negative mobility that zeroes the Jacobian is reported, not solved
+    # through
+    from signedflow.pde import _implicit_diffusion
+    u = np.array([0.0, 0.5, 1.0, 1.5])
+
+    def mobility(p):
+        return np.array([-1.0, 0.0, -1.0]), np.zeros_like(p)
+    with pytest.raises(ConvergenceError, match="singular"):
+        _implicit_diffusion(u, u[1:-1], 1.0, 1.0, mobility)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+@pytest.mark.parametrize("solve", [
+    lambda u0: solve_local(u0, 2, WALL, 1.0, None, 0.01),
+    lambda u0: solve_nonlocal(u0, LOGP, 1.0, None, 0.01),
+], ids=["local", "nonlocal"])
+def test_tiny_grids_solve(solve, n):
+    # grids with fewer than two interior nodes still take their step
+    u0 = GridFunction(0.0, 0.5, np.linspace(0.0, 1.0, n), 0.0, 1.0)
+    out, info = solve(u0)
+    assert info.steps >= 1 and np.all(np.isfinite(out.values))
+    assert info.max_principle_violation == 0.0
 
 
 @pytest.mark.parametrize("x0, dx, values, far", [
