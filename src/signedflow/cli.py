@@ -47,10 +47,15 @@ def _cmd_simulate(args) -> int:
         with open(args.events, "w") as fh:
             fh.write(res.events.to_jsonl() + ("\n" if len(res.events) else ""))
     s = res.stats
+    if args.stats:
+        with open(args.stats, "w") as fh:
+            json.dump({**s, "events": len(res.events)}, fh, indent=2)
     print(f"simulated n={st0.n} to t={cfg.t_end}: {len(res.events)} events, "
           f"{s['accepted']} accepted steps, {s['rejected']} rejected, "
           f"{s['force_evals']} force evaluations, "
-          f"{s['gap_capped']} steps set by the gap cap")
+          f"{s['gap_capped']} steps set by the gap cap, "
+          f"{s['snapshot_capped']} by a snapshot time, "
+          f"{s['end_capped']} by t_end")
     return EXIT_OK
 
 
@@ -172,6 +177,7 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--config", required=True)
     s.add_argument("--traj", help="trajectory CSV path")
     s.add_argument("--events", help="event JSONL path")
+    s.add_argument("--stats", help="step statistics JSON path")
     s.set_defaults(fn=_cmd_simulate)
 
     s = sub.add_parser("pde", help="solve a limit equation")

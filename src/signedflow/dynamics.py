@@ -14,6 +14,12 @@ Between events the trajectory is advanced by an embedded Bogacki-Shampine
 an opposite pair follows d^(2+a) affine in t (a = singularity exponent of the
 force), which both caps the step size and extrapolates the collision time.
 
+Each committed step (the start of a segment between events, and every
+accepted step) yields one diagnostics row.  The integrator only buffers the
+positions and neighbor gaps of a commit; the rows are computed a block at a
+time, when the buffer is full and when the segment ends, before its event is
+applied, so they keep their order.
+
 ``IntegratorOptions`` sets the three step-control values a caller may tune:
 ``rk_tol``, ``h_min`` and ``h_init``.  The step ceiling and the event radii
 are fixed module constants: GAP_FACTOR, COLLISION_RADIUS, CLUSTER_FACTOR and
@@ -100,7 +106,7 @@ class ParticleState:
     def min_gaps(self):
         """(d_plus, d_minus, min opposite-sign gap); inf when absent."""
         gaps, bl, br = self.neighbor_gaps()
-        return _min_gaps(gaps, _gap_classes(bl, br))
+        return tuple(_min_gaps(gaps[None], _gap_classes(bl, br))[0].tolist())
 
 
 def _gap_classes(bl, br):
@@ -110,9 +116,10 @@ def _gap_classes(bl, br):
 
 
 def _min_gaps(gaps, classes):
-    """Minimum neighbor gap in each row of ``classes``; inf for an empty row."""
-    rows = np.where(classes, gaps, np.inf)
-    return tuple(np.minimum.reduce(rows, axis=1, initial=np.inf).tolist())
+    """Minimum gap of each row of the (rows, m-1) block ``gaps`` over each row
+    of ``classes``, as a (rows, 3) array; inf where a class is empty."""
+    masked = np.where(classes, gaps[:, None, :], np.inf)
+    return np.minimum.reduce(masked, axis=2, initial=np.inf)
 
 
 @dataclass(frozen=True)
@@ -147,7 +154,11 @@ class EventLog:
 
 @dataclass
 class Diagnostics:
-    """Per accepted step: times, minimal gaps, first moment, energy."""
+    """One row per committed step: times, minimal gaps, first moment, energy.
+
+    ``simulate`` fills the rows in blocks (see ``_Segment.flush``); the lists
+    are complete once it returns.
+    """
 
     t: list = field(default_factory=list)
     d_plus: list = field(default_factory=list)
@@ -211,7 +222,8 @@ class SimulationResult:
     diagnostics: Diagnostics
     snapshots: list            # states at requested t_eval times
     # step attempts accepted and rejected, right-hand-side evaluations, and
-    # attempts whose step the gap cap set (gap_capped)
+    # the attempts whose step the gap cap (gap_capped), the next snapshot time
+    # (snapshot_capped) or t_end (end_capped) set; error control set the rest
     stats: dict
 
     def trajectory_csv(self) -> str:
@@ -249,7 +261,7 @@ def energy(state: ParticleState, pot: Potential, alpha: float,
     """Interaction energy (1/n^2) sum_{i>j} b_i b_j V_alpha(x_i - x_j)
     plus (1/n) sum_i b_i U(x_i); the dynamics is its gradient flow."""
     seg = _checked_segment(state, pot, alpha, field)
-    return seg.energy(seg.xc)
+    return float(seg.energy(seg.xc[None])[0])
 
 
 def _checked_segment(state, pot, alpha, field):
@@ -354,6 +366,10 @@ def _finalize_event(state: ParticleState, tau: float, clusters,
 # again on every evaluation
 _PAIR_CHUNK = 8192
 
+# floats of positions and gaps a segment buffers before it computes their
+# diagnostics rows in one block
+_DIAG_BUFFER = 2048
+
 # coincident or crossing stage points make the evaluators return inf or nan;
 # step control rejects such stages, so the kernel runs with these silenced
 _KERNEL_ERRSTATE = {"divide": "ignore", "invalid": "ignore", "over": "ignore"}
@@ -376,6 +392,11 @@ class _Segment:
     The neighbor gaps are computed once per step attempt, from the trial
     point, and shared: the ordering check, the gap cap, ``record`` and event
     extrapolation all read that one array.
+
+    ``record`` only buffers a commit's (t, xc, gaps); ``flush`` turns the
+    buffer into ``Diagnostics`` rows with a few block calls of ``energy`` and
+    ``_min_gaps``.  ``record`` flushes once the buffer holds ``_DIAG_BUFFER``
+    floats, and the caller flushes at the segment's end.
     """
 
     def __init__(self, x_full, b_full, pot, alpha, field):
@@ -395,6 +416,8 @@ class _Segment:
         self.neutral_m1 = float(np.sum(x_full)) - float(np.sum(self.xc))
         self.gap_classes = _gap_classes(self.bc[:-1], self.bc[1:])
         self.opp = np.flatnonzero(self.gap_classes[2])
+        self.pending = []
+        self.budget = max(1, _DIAG_BUFFER // max(1, 2 * self.m - 1))
         iu, ju = np.triu_indices(self.m, k=1)
         # (i, j, alpha b_i b_j, -alpha^2 b_i b_j) per chunk of pairs i < j;
         # b_i b_j = +-1, so folding alpha in leaves every product unchanged
@@ -417,24 +440,54 @@ class _Segment:
             acc += self.bc * self.g(xc)
         return acc
 
-    def energy(self, xc):
-        e = 0.0
-        for i, j, qe, _ in self.chunks:
-            vals = self.d0(self.alpha * np.abs(xc[i] - xc[j]))
-            e += float((qe * vals).sum()) / self.n ** 2
+    def energy(self, xs):
+        """Energy of each row of the (rows, m) block ``xs``.
+
+        Blocks of rows are swept together so that no temporary exceeds
+        ``_PAIR_CHUNK`` points; each row sums its chunks in the same order.
+        ``take`` gathers a block's columns at a third of the cost of fancy
+        indexing, a block of one row is swept as a 1-D row to save call
+        overhead, and the evaluators are given flat arrays.
+        """
+        e = np.zeros(len(xs))
+        if self.chunks:
+            step = max(1, _PAIR_CHUNK // len(self.chunks[0][0]))
+            for s in range(0, len(xs), step):
+                blk = xs[s] if step == 1 else xs[s:s + step]
+                acc = 0.0
+                for i, j, qe, _ in self.chunks:
+                    d = np.abs(blk.take(i, axis=-1) - blk.take(j, axis=-1))
+                    vals = self.d0(self.alpha * d.ravel()).reshape(d.shape)
+                    acc = acc + (qe * vals).sum(axis=-1) / self.n ** 2
+                e[s:s + step] = acc
         if self.u is not None and self.m >= 1:
-            e += float(np.sum(self.bc * np.asarray(self.u(xc), dtype=float))) / self.n
+            u = np.asarray(self.u(xs.ravel()), dtype=float).reshape(xs.shape)
+            e += (self.bc * u).sum(axis=1) / self.n
         return e
 
     def record(self, diag, t, xc, gaps):
-        dp, dm, do = _min_gaps(gaps, self.gap_classes)
-        diag.t.append(t)
-        diag.d_plus.append(dp)
-        diag.d_minus.append(dm)
-        diag.min_opposite_gap.append(do)
-        diag.m1.append(float(xc.sum()) + self.neutral_m1)
-        diag.energy.append(self.energy(xc) if self.m else np.nan)
-        diag.n_charged.append(self.m)
+        """Buffer the commit (t, xc, gaps); flush once the budget is full."""
+        self.pending.append((t, xc, gaps))
+        if len(self.pending) >= self.budget:
+            self.flush(diag)
+
+    def flush(self, diag):
+        """Append the buffered commits to ``diag`` as rows, in order."""
+        if not self.pending:
+            return
+        ts, xs, gaps = zip(*self.pending)
+        self.pending = []
+        xs = np.array(xs)
+        mins = _min_gaps(np.array(gaps), self.gap_classes)
+        d_plus, d_minus, d_opp = mins.T.tolist()
+        diag.t.extend(ts)
+        diag.d_plus.extend(d_plus)
+        diag.d_minus.extend(d_minus)
+        diag.min_opposite_gap.extend(d_opp)
+        diag.m1.extend((xs.sum(axis=1) + self.neutral_m1).tolist())
+        diag.energy.extend(self.energy(xs).tolist() if self.m
+                           else [np.nan] * len(ts))
+        diag.n_charged.extend([self.m] * len(ts))
 
     def state(self, t, xc) -> ParticleState:
         x = self.x_full.copy()
@@ -451,9 +504,10 @@ def simulate(state0: ParticleState, pot: Potential, alpha: float,
     ``t_eval`` requests state snapshots at given times (stepping lands on
     them exactly; a request within 1e-12 max(1, |t|) of a reached time t is
     taken there).  Diagnostics hold one row at the start, one after each
-    event batch and one per accepted step.  numpy floating-point warnings
-    are silenced while it runs: a crossing or coinciding stage point yields
-    inf or nan, and step control rejects it.
+    event batch and one per accepted step; rows are computed in blocks and
+    are all present on return.  numpy floating-point warnings are silenced
+    while it runs: a crossing or coinciding stage point yields inf or nan,
+    and step control rejects it.
     """
     state0.validate()
     # spot check of the monotone-force ledger (warn-only; the full audit is
@@ -471,7 +525,8 @@ def simulate(state0: ParticleState, pot: Potential, alpha: float,
     snapshots = []
     eval_queue = sorted(float(t) for t in (t_eval if t_eval is not None else []))
     t, x, b = state0.t, state0.x, state0.b
-    stats = {"accepted": 0, "rejected": 0, "force_evals": 0, "gap_capped": 0}
+    stats = {"accepted": 0, "rejected": 0, "force_evals": 0, "gap_capped": 0,
+             "snapshot_capped": 0, "end_capped": 0}
 
     with np.errstate(**_KERNEL_ERRSTATE):
         while True:
@@ -485,8 +540,8 @@ def simulate(state0: ParticleState, pot: Potential, alpha: float,
             event = None
             while True:
                 # commit (t, xc), the segment start or an accepted step: one
-                # diagnostics row, the step ceiling and error scale for the
-                # next step, the event check and the snapshots due
+                # buffered diagnostics row, the step ceiling and error scale
+                # for the next step, the event check and the snapshots due
                 seg.record(diag, t, xc, gaps)
                 opp_gaps = gaps[seg.opp]
                 d_min = float(opp_gaps.min()) if len(opp_gaps) else np.inf
@@ -512,8 +567,15 @@ def simulate(state0: ParticleState, pot: Potential, alpha: float,
                     if eval_queue:
                         h = min(h, eval_queue[0] - t)
                     h = max(h, 1e-16 * max(1.0, abs(t)))
-                    if h == h_cap < h_err:
-                        stats["gap_capped"] += 1
+                    # the bound that set h, if one clipped it; a tie goes to
+                    # the first of gap cap, snapshot time and t_end
+                    if h < h_err:
+                        if h == h_cap:
+                            stats["gap_capped"] += 1
+                        elif eval_queue and h == eval_queue[0] - t:
+                            stats["snapshot_capped"] += 1
+                        elif h == t_end - t:
+                            stats["end_capped"] += 1
                     k2 = seg.rhs(xc + 0.5 * h * k1)
                     k3 = seg.rhs(xc + 0.75 * h * k2)
                     stats["force_evals"] += 2
@@ -543,6 +605,7 @@ def simulate(state0: ParticleState, pot: Potential, alpha: float,
                 xc, gaps, k1 = x_new, new_gaps, k4
                 h = h * min(5.0, max(0.2, 0.9 * (err_norm + 1e-16) ** (-1.0 / 3.0)))
 
+            seg.flush(diag)
             if event is None:
                 break  # reached t_end
             tau, clusters = event

@@ -27,7 +27,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate, optimize
 
 from .errors import ConvergenceError, DegenerateGradientError
 from .potentials import Potential, ScalingRegime, l1_norm, lattice_series
@@ -167,6 +166,8 @@ def _vp(pot: Potential, alpha: float, z):
 def kernel_second_moment(pot: Potential, alpha: float, rho: float,
                          quad_tol: float = 1e-10) -> float:
     """int_{B_rho} z^2 V_alpha''(z) dz = 2 int_0^{alpha rho} y^2 V''(y) dy."""
+    from scipy import integrate
+
     val, _ = integrate.quad(lambda y: y ** 2 * pot.deriv(y, 2),
                             0.0, alpha * rho, epsabs=quad_tol, epsrel=1e-10,
                             limit=400)
@@ -186,6 +187,8 @@ def _scalar(fn, r: float) -> float:
 
 def _critical_radii(dg, lo: float, hi: float, samples: int = 1024):
     """Zeros of dg on (lo, hi) from a sign scan refined by brentq."""
+    from scipy import optimize
+
     if hi <= lo:
         return []
     rs = np.linspace(lo, hi, samples)
@@ -266,6 +269,8 @@ def _first_break(g, dg, sgn: float, rho: float, eps: float, crit=None):
     Walks the monotone pieces of g; the break is the first return of g to 0
     or the first |g| = eps crossing, whichever comes first.
     """
+    from scipy import optimize
+
     if crit is None:
         crit = _critical_radii(dg, 0.0, rho)
     crit = sorted(c for c in crit if 0.0 < c < rho)
@@ -443,6 +448,8 @@ def quantized_nonlocal(phi: TestFunction, farfield, x: float, pot: Potential,
 
 def _compensated_ball(psi: TestFunction, x: float, pot: Potential, rho: float,
                       alpha: float, quad_tol: float) -> float:
+    from scipy import integrate
+
     f0 = _scalar(psi.f, x)
     s0 = _scalar(psi.d1, x)
 
@@ -462,6 +469,8 @@ def _compensated_ball(psi: TestFunction, x: float, pot: Potential, rho: float,
 
 def _tail_raw(far, x: float, pot: Potential, rho: float, alpha: float,
               quad_tol: float) -> float:
+    from scipy import integrate
+
     total = 0.0
     for side in (+1, -1):
         smooth, pieces = _far_pieces(far, x, rho, side)

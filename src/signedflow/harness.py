@@ -15,7 +15,6 @@ import math
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
-from scipy.integrate import cumulative_trapezoid
 
 from .dynamics import IntegratorOptions, ParticleState, simulate
 from .errors import DataError
@@ -85,6 +84,8 @@ class SignedDensity:
 
     def primitive(self, x):
         """int_-inf^x of the signed density, by fine-grid quadrature."""
+        from scipy.integrate import cumulative_trapezoid
+
         lo, hi = self.support()
         xf = np.linspace(lo, hi, 80001)
         cum = cumulative_trapezoid(self(xf), xf, initial=0)
@@ -94,6 +95,8 @@ class SignedDensity:
 
 def quantile_particles(density: SignedDensity, n: int) -> ParticleState:
     """Place round(n * mass) particles per sign at mid-quantiles, interleaved."""
+    from scipy.integrate import cumulative_trapezoid
+
     xs_all, bs_all = [], []
     for sign in (1, -1):
         mass = density.mass(sign)

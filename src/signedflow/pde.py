@@ -42,8 +42,6 @@ import math
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
-from scipy.integrate import cumulative_trapezoid
-from scipy.linalg.lapack import dgtsv
 
 from .errors import ConvergenceError, DataError
 from .potentials import ExternalField, Potential, ScalingRegime, l1_norm, mobility
@@ -138,6 +136,8 @@ class MobilityTable:
             c = l1_norm(pot, tol)
             ps = np.linspace(-p_max, p_max, num)
             return MobilityTable(ps, c * np.abs(ps), 0.5 * c * ps * np.abs(ps))
+        from scipy.integrate import cumulative_trapezoid
+
         # m = 3: sample on the half line and extend by evenness of f_3
         half = np.linspace(0.0, p_max, (num + 1) // 2)
         fh = np.array([mobility(pot, regime, float(p), tol) for p in half])
@@ -266,6 +266,8 @@ def _implicit_diffusion(u, rhs, dt, dx, mobility):
     The end values stay at u's.  ``mobility(p)`` returns ``(f, G)`` with
     G' = f >= 0.  Newton's method from v = u; returns (v, iterations).
     """
+    from scipy.linalg.lapack import dgtsv
+
     v = u.copy()
     r = dt / dx
     tol = NEWTON_RTOL * float(np.max(np.abs(u)))

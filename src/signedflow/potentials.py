@@ -23,7 +23,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy import integrate
 
 from .errors import ConvergenceError, NonIntegrableError, UnsupportedOrderError
 
@@ -444,6 +443,8 @@ def l1_norm(pot: Potential, tol: float = 1e-10) -> float:
         raise NonIntegrableError(
             f"potential '{pot.name}' is not integrable on R ({end} diverges)", end)
 
+    from scipy import integrate
+
     res = integrate.tanhsinh(lambda x: np.abs(pot.deriv(x, 0)), 0.0, 1.0,
                              atol=tol / 8, rtol=0.0)
     if not res.success:
@@ -484,6 +485,8 @@ def lattice_series(pot: Potential, x: float, tol: float = 1e-10,
     with E2 the decreasing envelope of |V''|; truncation stops once this
     bound drops below tol.
     """
+    from scipy import integrate
+
     if x == 0:
         raise ValueError("lattice series undefined at x = 0")
     ax = abs(x)
@@ -628,6 +631,8 @@ def _converging_integral(fn, n_decades: int, end: str) -> dict:
     """Evidence that the integral of fn at ``end`` converges: partial
     integrals over (10^-k, 1) at the "origin" or over (1, 10^k) in the
     "tail", accumulated decade by decade so no mass is missed."""
+    from scipy import integrate
+
     s = -1 if end == "origin" else 1
     partials = []
     total = 0.0

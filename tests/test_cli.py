@@ -62,6 +62,29 @@ def test_simulate_writes_outputs(tmp_path, capsys):
     assert "set by the gap cap" in summary
 
 
+def test_simulate_writes_stats(tmp_path, capsys):
+    cfg = _write_cfg(tmp_path, {
+        "initial": {"kind": "particles", "x": [-0.5, 0.5], "b": [1, -1]},
+        "potential": {"kind": "log"},
+        "regime": {"m": 1, "alpha": 1.0},
+        "t_end": 0.6,
+        "snapshot_times": [0.3],
+    })
+    stats = tmp_path / "stats.json"
+    code = main(["simulate", "--config", str(cfg), "--stats", str(stats)])
+    assert code == 0
+    st = json.loads(stats.read_text())
+    assert st["events"] == 1
+    assert st["accepted"] > 0 and st["force_evals"] > st["accepted"]
+    # the snapshot at 0.3 and t_end each set one step
+    assert st["snapshot_capped"] == 1 and st["end_capped"] == 1
+    capped = st["gap_capped"] + st["snapshot_capped"] + st["end_capped"]
+    assert capped <= st["accepted"] + st["rejected"]
+    summary = capsys.readouterr().out
+    assert (f"{st['snapshot_capped']} by a snapshot time, "
+            f"{st['end_capped']} by t_end") in summary
+
+
 def test_pde_subcommand(tmp_path, capsys):
     cfg = _write_cfg(tmp_path)
     out = tmp_path / "grid.csv"

@@ -1,11 +1,16 @@
 """Particle dynamics: forces, collisions, annihilation, invariants."""
 
 import math
+import os
+import subprocess
+import sys
+import textwrap
 import warnings
 
 import numpy as np
 import pytest
 
+import signedflow
 from signedflow import (InvariantViolationError, IntegratorOptions,
                         ParticleState, SingularConfigurationError, annihilate,
                         detect_collision, energy, log_potential,
@@ -130,7 +135,7 @@ def test_pair_kernel_matches_double_loop(potname, case):
     e = energy(st, pot, alpha, fld)
     assert abs(e - ref_e) <= 1e-12 * ref_escale
     seg = _Segment(st.x, st.b, pot, alpha, fld)
-    assert seg.energy(seg.xc) == e
+    assert seg.energy(seg.xc[None]).tolist() == [e]
 
 
 def _zero_net_config(n, seed):
@@ -170,6 +175,47 @@ def test_simulate_reproducible_bit_for_bit(potname):
     a = simulate(st, pot, alpha, None, 0.1)
     assert len(a.events) > 0
     assert _run_bits(a) == _run_bits(simulate(st, pot, alpha, None, 0.1))
+
+
+@pytest.mark.parametrize("case", ["harmonic", "many"])
+def test_block_flushed_diagnostics_match_one_row_flushes(case, monkeypatch):
+    if case == "harmonic":
+        # two event batches, and the field's U term in every energy row
+        args = (_zero_net_config(12, 5), wall_potential(), math.sqrt(12),
+                make_field({"kind": "harmonic", "k": 4.0}), 0.1)
+    else:
+        # 200 charges: 19,900 pairs in three chunks of the pair sweep
+        args = (ParticleState(0.0, np.linspace(-2.0, 2.0, 200),
+                              np.ones(200, dtype=int)),
+                wall_potential(), 2.0, None, 0.1)
+    blocks = simulate(*args)
+    # a buffer of one float flushes every row on its own
+    monkeypatch.setattr(signedflow.dynamics, "_DIAG_BUFFER", 1)
+    rows = simulate(*args)
+    assert len(blocks.diagnostics.t) > 100
+    if case == "harmonic":
+        assert len({ev.tau for ev in blocks.events}) >= 2
+    assert _run_bits(blocks) == _run_bits(rows)
+
+
+def test_particle_run_loads_no_scipy():
+    # scipy is imported inside the functions that call it, and a particle
+    # run with the log or wall potential calls none of them
+    code = textwrap.dedent("""
+        import sys
+        sys.path.insert(0, sys.argv[1])
+        import signedflow, signedflow.cli
+        from signedflow import (ParticleState, log_potential, simulate,
+                                wall_potential)
+        st = ParticleState(0.0, [-0.5, -0.45, 0.2, 0.6], [1, -1, 1, -1])
+        assert len(simulate(st, log_potential(), 1.0, None, 0.1).events)
+        simulate(st, wall_potential(), 2.0, None, 0.1)
+        print(sorted(m for m in sys.modules if m.startswith("scipy")))
+    """)
+    src = os.path.dirname(os.path.dirname(signedflow.__file__))
+    out = subprocess.run([sys.executable, "-c", code, src], check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[]"
 
 
 def test_velocities_silence_float_warnings_at_tiny_gap():
@@ -251,8 +297,14 @@ def test_simulation_stats_count_steps_and_evaluations():
     # three evaluations per attempt (two when the stage is unordered), plus
     # one at the start of each segment between events
     assert 2 * attempts + 1 + batches <= s["force_evals"] <= 3 * attempts + 1 + batches
-    # the run closes a pair, where the gap cap binds before error control
+    # the run closes a pair, where the gap cap binds before error control;
+    # its last step lands on t_end
     assert 0 < s["gap_capped"] <= attempts
+    assert s["snapshot_capped"] == 0 and s["end_capped"] == 1
+    # each requested time inside the run sets the step that lands on it
+    snap = simulate(st, log_potential(), 1.0, None, 2.0,
+                    t_eval=[0.5, 1.0, 1.5]).stats
+    assert snap["snapshot_capped"] == 3 and snap["end_capped"] == 1
 
 
 def test_single_particle_stationary():
