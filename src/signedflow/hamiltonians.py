@@ -60,16 +60,6 @@ class TestFunction:
     d3: callable = None
     order: int = 2
 
-    def check_derivatives(self, xs, tol: float = 1e-6) -> bool:
-        """Central finite-difference cross-check of d1 and d2."""
-        xs = np.asarray(xs, dtype=float)
-        h = 1e-5 * np.maximum(1.0, np.abs(xs))
-        fd1 = (self.f(xs + h) - self.f(xs - h)) / (2 * h)
-        fd2 = (self.f(xs + h) - 2 * self.f(xs) + self.f(xs - h)) / h ** 2
-        ok1 = np.allclose(fd1, self.d1(xs), rtol=tol, atol=tol)
-        ok2 = np.allclose(fd2, self.d2(xs), rtol=100 * tol, atol=100 * tol)
-        return bool(ok1 and ok2)
-
     @staticmethod
     def sin() -> "TestFunction":
         return TestFunction(np.sin, np.cos, lambda x: -np.sin(x),

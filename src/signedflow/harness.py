@@ -18,7 +18,8 @@ import numpy as np
 
 from .dynamics import IntegratorOptions, ParticleState, simulate
 from .errors import DataError
-from .pde import GridFunction, solve_local, solve_nonlocal
+from .pde import (GridFunction, _cumulative_trapezoid, solve_local,
+                  solve_nonlocal)
 from .potentials import (ScalingRegime, audit_assumptions, make_field,
                          make_potential)
 from .staircase import cumulative_charge, sup_distance
@@ -84,31 +85,29 @@ class SignedDensity:
 
     def primitive(self, x):
         """int_-inf^x of the signed density, by fine-grid quadrature."""
-        from scipy.integrate import cumulative_trapezoid
-
         lo, hi = self.support()
         xf = np.linspace(lo, hi, 80001)
-        cum = cumulative_trapezoid(self(xf), xf, initial=0)
+        cum = _cumulative_trapezoid(self(xf), xf)
         return np.interp(np.asarray(x, dtype=float), xf, cum,
                          left=0.0, right=float(cum[-1]))
 
 
 def quantile_particles(density: SignedDensity, n: int) -> ParticleState:
     """Place round(n * mass) particles per sign at mid-quantiles, interleaved."""
-    from scipy.integrate import cumulative_trapezoid
-
+    lo, hi = density.support()
+    xf = np.linspace(lo, hi, 80001)
     xs_all, bs_all = [], []
     for sign in (1, -1):
-        mass = density.mass(sign)
-        n_s = int(round(n * mass))
+        n_s = int(round(n * density.mass(sign)))
         if n_s == 0:
             continue
-        lo, hi = density.support()
-        xf = np.linspace(lo, hi, 80001)
-        cum = cumulative_trapezoid(density.part(sign, xf), xf, initial=0)
+        cum = _cumulative_trapezoid(density.part(sign, xf), xf)
         q = (np.arange(n_s) + 0.5) / n_s * cum[-1]
         xs_all.append(np.interp(q, cum, xf))
         bs_all.append(sign * np.ones(n_s, dtype=int))
+    if not xs_all:
+        raise DataError(f"n = {n} places no particle: round(n * mass) is 0 for "
+                        f"masses {density.mass(1)!r} (+) and {density.mass(-1)!r} (-)")
     xs = np.concatenate(xs_all)
     bs = np.concatenate(bs_all)
     order = np.argsort(xs, kind="stable")
@@ -116,7 +115,6 @@ def quantile_particles(density: SignedDensity, n: int) -> ParticleState:
     # opposite-sign components may place both charges on the same quantile
     # point; spread coincident positions by a deterministic hair (they
     # annihilate immediately, as the cancelling densities do)
-    lo, hi = density.support()
     sep = 1e-7 * (hi - lo)
     k = 0
     while k < len(xs) - 1:
@@ -179,6 +177,9 @@ class ExperimentConfig:
             raise DataError("t_end must be positive")
         if any(t > self.t_end for t in self.snapshot_times):
             raise DataError("snapshot times must not exceed t_end")
+        nodes = self.grid.get("nodes")
+        if isinstance(nodes, bool) or not isinstance(nodes, int) or nodes < 2:
+            raise DataError(f"grid nodes must be an integer >= 2, got {nodes!r}")
 
     def config_hash(self) -> str:
         blob = json.dumps(self.__dict__, sort_keys=True, default=str)

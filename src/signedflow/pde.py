@@ -115,14 +115,23 @@ def density_from_primitive(u: GridFunction) -> GridFunction:
 # mobility tables (flux form needs the antiderivative of f_m)
 # ---------------------------------------------------------------------------
 
+def _cumulative_trapezoid(y, x):
+    """Trapezoid integrals of y from x[0] to each x, in the operation order
+    of scipy's ``cumulative_trapezoid(y, x, initial=0)``."""
+    return np.concatenate(([0.0], np.cumsum(np.diff(x) * (y[1:] + y[:-1]) / 2.0)))
+
+
 @dataclass
 class MobilityTable:
     """Sampled mobility f_m and its antiderivative G on [-p_max, p_max].
 
-    ``f_of`` interpolates f linearly and ``g_of`` is the exact integral of
-    that interpolant, piecewise quadratic, so ``g_of' = f_of`` to rounding:
-    Newton's method in ``solve_local`` stalls without it.  Beyond the table f
-    holds its end value and G continues linearly.
+    A table is a mobility: ``table(p)`` returns ``(f_of(p), g_of(p))``, the
+    ``(f, G)`` pair that the implicit diffusion takes.  ``f_of`` interpolates
+    f linearly and ``g_of`` is the exact integral of that interpolant,
+    piecewise quadratic, so ``g_of' = f_of`` to rounding: Newton's method in
+    ``solve_local`` stalls without it.  Beyond the table f holds its end
+    value and G continues linearly.  ``build`` samples the even f_m on the
+    half line; p = 0 is a node, so an m = 2 table is exact for c|p|.
     """
 
     ps: np.ndarray
@@ -132,20 +141,16 @@ class MobilityTable:
     @staticmethod
     def build(pot: Potential, regime: ScalingRegime, p_max: float,
               num: int = 2049, tol: float = 1e-8) -> "MobilityTable":
-        if regime.m == 2:
-            c = l1_norm(pot, tol)
-            ps = np.linspace(-p_max, p_max, num)
-            return MobilityTable(ps, c * np.abs(ps), 0.5 * c * ps * np.abs(ps))
-        from scipy.integrate import cumulative_trapezoid
-
-        # m = 3: sample on the half line and extend by evenness of f_3
         half = np.linspace(0.0, p_max, (num + 1) // 2)
         fh = np.array([mobility(pot, regime, float(p), tol) for p in half])
-        gh = cumulative_trapezoid(fh, half, initial=0)
+        gh = _cumulative_trapezoid(fh, half)
         ps = np.concatenate([-half[::-1][:-1], half])
         f = np.concatenate([fh[::-1][:-1], fh])
         g = np.concatenate([-gh[::-1][:-1], gh])
         return MobilityTable(ps, f, g)
+
+    def __call__(self, p):
+        return self.f_of(p), self.g_of(p)
 
     def f_of(self, p):
         return np.interp(p, self.ps, self.f)
@@ -219,16 +224,20 @@ class SolveInfo:
         return f"{steps}, {self.newton_iters} Newton iterations"
 
 
-def _march(u0: GridFunction, t_end: float, t_eval, cfl_safety: float, scheme):
-    """Time loop shared by both solvers.
+def _march(u0: GridFunction, t_end: float, t_eval, cfl_safety: float, prepare):
+    """Time loop of both solvers: explicit upwind transport, then implicit
+    diffusion.
 
-    ``scheme(u)`` returns ``(dt_bound, reason, advance)``, where ``advance(dt)``
-    returns the values one step of size ``dt`` later and ``reason`` names the
-    bound.  The step is ``cfl_safety * dt_bound`` clipped to land on ``t_end``
-    and on each requested snapshot time; snapshots at times <= 0 are the
-    initial values.  A step that returns a non-finite value raises
-    ConvergenceError.
+    ``prepare(u, d)``, with d the slopes of u, returns ``(mobility, vel)``
+    for the step from u: the diffusion u_t = (G(u_x))_x, ``mobility(p)``
+    returning ``(f, G)``, and the explicit velocity of u_t = vel |u_x|.  The
+    step is ``cfl_safety`` times the smaller of "the profile moves at most
+    one cell" (``move``) and dx / max|vel| (``advection``), clipped to land
+    on ``t_end`` and on each requested snapshot time; snapshots at times
+    <= 0 are the initial values.  A step that returns a non-finite value
+    raises ConvergenceError.
     """
+    dx = u0.dx
     u = u0.values.copy()
     info = SolveInfo()
     eval_queue = sorted(float(tv) for tv in (t_eval if t_eval is not None else []))
@@ -237,14 +246,25 @@ def _march(u0: GridFunction, t_end: float, t_eval, cfl_safety: float, scheme):
     lo0, hi0 = float(np.min(u)), float(np.max(u))
     t = 0.0
     while t < t_end - 1e-300:
-        dt_bound, why, advance = scheme(u)
+        d = np.diff(u) / dx
+        mobility, vel = prepare(u, d)
+        d_max = float(np.max(np.abs(d), initial=0.0))
+        rate = float(np.max(np.abs(np.diff(mobility(d)[1])), initial=0.0)) / dx
+        dt_move = dx * d_max / rate if rate > 0 else math.inf
+        vmax = float(np.max(np.abs(vel)))
+        dt_adv = dx / vmax if vmax > 0 else math.inf
+        dt_bound, why = min((dt_move, "move"), (dt_adv, "advection"))
         dt = cfl_safety * dt_bound
         if t_end - t <= dt:
             dt, why = t_end - t, "t_end"
         if eval_queue and eval_queue[0] - t < dt:
             dt, why = eval_queue[0] - t, "snapshot"
         dt = max(dt, 1e-15)
-        u = advance(dt)
+        rhs = u[1:-1]
+        if vmax > 0:
+            rhs = rhs + dt * _upwind_transport(vel[1:-1], d[:-1], d[1:])
+        u, iters = _implicit_diffusion(u, rhs, dt, dx, mobility)
+        info.newton_iters += iters
         lo, hi = float(np.min(u)), float(np.max(u))
         if not (math.isfinite(lo) and math.isfinite(hi)):
             raise ConvergenceError(f"non-finite value after the step at t = {t!r}")
@@ -299,42 +319,6 @@ def _abs_mobility(c: float):
     return mobility
 
 
-def _implicit_march(u0: GridFunction, t_end: float, t_eval, cfl_safety: float,
-                    prepare):
-    """Both solvers' step: explicit upwind transport, then implicit diffusion.
-
-    ``prepare(u, d)``, with d the slopes of u, returns ``(mobility, vel)``
-    for the step from u: the diffusion u_t = (G(u_x))_x and the explicit
-    velocity of u_t = vel |u_x|.  The step bound is the smaller of "the
-    profile moves at most one cell" and dx / max|vel|.
-    """
-    dx = u0.dx
-    newton_iters = 0
-
-    def scheme(u):
-        d = np.diff(u) / dx
-        mobility, vel = prepare(u, d)
-        d_max = float(np.max(np.abs(d), initial=0.0))
-        rate = float(np.max(np.abs(np.diff(mobility(d)[1])), initial=0.0)) / dx
-        dt_move = dx * d_max / rate if rate > 0 else math.inf
-        vmax = float(np.max(np.abs(vel)))
-        dt_adv = dx / vmax if vmax > 0 else math.inf
-
-        def advance(dt):
-            nonlocal newton_iters
-            rhs = u[1:-1]
-            if vmax > 0:
-                rhs = rhs + dt * _upwind_transport(vel[1:-1], d[:-1], d[1:])
-            v, iters = _implicit_diffusion(u, rhs, dt, dx, mobility)
-            newton_iters += iters
-            return v
-        return (*min((dt_move, "move"), (dt_adv, "advection")), advance)
-
-    out, info = _march(u0, t_end, t_eval, cfl_safety, scheme)
-    info.newton_iters = newton_iters
-    return out, info
-
-
 def solve_local(u0: GridFunction, m: int, pot: Potential, beta: float,
                 field: ExternalField | None, t_end: float,
                 cfl_safety: float = 0.45, mobility_tol: float = 1e-8,
@@ -358,18 +342,15 @@ def solve_local(u0: GridFunction, m: int, pot: Potential, beta: float,
         regime = ScalingRegime(m=m, beta=beta)
         table = None    # built on the first step, rebuilt when outgrown
 
-        def mobility(p):
-            return table.f_of(p), table.g_of(p)
-
         def prepare(u, d):
             nonlocal table
             d_max = float(np.max(np.abs(d), initial=0.0))
             if table is None or d_max > table.p_max:
                 table = MobilityTable.build(pot, regime, max(2.0 * d_max, 1.0),
                                             tol=mobility_tol)
-            return mobility, uprime
+            return table, uprime
 
-    return _implicit_march(u0, t_end, t_eval, cfl_safety, prepare)
+    return _march(u0, t_end, t_eval, cfl_safety, prepare)
 
 
 # ---------------------------------------------------------------------------
@@ -442,4 +423,4 @@ def solve_nonlocal(u0: GridFunction, pot: Potential, alpha: float,
                 "velocity overflow near a gradient blowup; refine dx")
         return ball, vel
 
-    return _implicit_march(u0, t_end, t_eval, cfl_safety, prepare)
+    return _march(u0, t_end, t_eval, cfl_safety, prepare)

@@ -114,6 +114,16 @@ def test_pde_subcommand_rejects_non_finite_grid(tmp_path, capsys, m):
     assert "must be finite" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [["pde", "--m", "1"], ["pde", "--m", "2"],
+                                  ["converge"]], ids=["pde-m1", "pde-m2", "converge"])
+def test_subcommands_reject_single_node_grid(tmp_path, capsys, argv):
+    cfg = _write_cfg(tmp_path, {"grid": {"half_width": 2.0, "nodes": 1,
+                                         "rho": 0.5}})
+    code = main([*argv, "--config", str(cfg)])
+    assert code == 1
+    assert "grid nodes" in capsys.readouterr().err
+
+
 def test_converge_subcommand(tmp_path):
     cfg = _write_cfg(tmp_path)
     rep = tmp_path / "report.json"

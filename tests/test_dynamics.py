@@ -200,16 +200,21 @@ def test_block_flushed_diagnostics_match_one_row_flushes(case, monkeypatch):
 
 def test_particle_run_loads_no_scipy():
     # scipy is imported inside the functions that call it, and a particle
-    # run with the log or wall potential calls none of them
+    # run with the log or wall potential, from given or quantile-placed
+    # particles, calls none of them
     code = textwrap.dedent("""
         import sys
         sys.path.insert(0, sys.argv[1])
         import signedflow, signedflow.cli
-        from signedflow import (ParticleState, log_potential, simulate,
-                                wall_potential)
+        from signedflow import (ParticleState, SignedDensity, log_potential,
+                                quantile_particles, simulate, wall_potential)
         st = ParticleState(0.0, [-0.5, -0.45, 0.2, 0.6], [1, -1, 1, -1])
         assert len(simulate(st, log_potential(), 1.0, None, 0.1).events)
         simulate(st, wall_potential(), 2.0, None, 0.1)
+        dens = SignedDensity.from_spec([
+            {"sign": 1, "mass": 0.6, "center": -0.9},
+            {"sign": -1, "mass": 0.4, "center": 0.9}])
+        simulate(quantile_particles(dens, 10), log_potential(), 1.0, None, 0.01)
         print(sorted(m for m in sys.modules if m.startswith("scipy")))
     """)
     src = os.path.dirname(os.path.dirname(signedflow.__file__))

@@ -58,6 +58,14 @@ def test_quantile_placement_signed_counts():
     st.validate()
 
 
+def test_quantile_placement_rejects_zero_particles():
+    dens = SignedDensity.from_spec([
+        {"sign": 1, "mass": 0.001, "center": -0.9, "width": 1.0},
+        {"sign": -1, "mass": 0.001, "center": 0.9, "width": 1.0}])
+    with pytest.raises(DataError, match=r"n = 10 .*0\.001"):
+        quantile_particles(dens, 10)
+
+
 def test_density_primitive_mass():
     dens = density_signed()
     assert dens.primitive(np.array([10.0]))[0] == pytest.approx(0.2, abs=1e-6)
@@ -103,6 +111,21 @@ def test_config_validation_errors():
     bad["bogus_key"] = 1
     with pytest.raises(DataError):
         ExperimentConfig.from_dict(bad)
+
+
+@pytest.mark.parametrize("nodes", [1, 0, 2.5, "512", True, None])
+def test_config_rejects_grid_below_two_nodes(nodes):
+    bad = _cfg_dict()
+    bad["grid"] = {"half_width": 2.0, "nodes": nodes, "rho": 0.5}
+    with pytest.raises(DataError, match="nodes"):
+        ExperimentConfig.from_dict(bad)
+
+
+def test_two_node_grid_solves():
+    d = _cfg_dict()
+    d["grid"] = {"half_width": 2.0, "nodes": 2, "rho": 0.5}
+    out, info = harness.solve_limit_equation(ExperimentConfig.from_dict(d))
+    assert out.n == 2 and info.steps == 1
 
 
 # ---------------------------------------------------------------------------

@@ -270,21 +270,20 @@ def test_one_step_flux_identity(wall_l1):
     # exact discrete identity of the implicit step: the staggered-density mass
     # over an interior window changes only by the endpoint fluxes G(u_x) at the
     # end-of-step slopes, with G the solver's own mobility antiderivative
-    from signedflow import MobilityTable, ScalingRegime
+    from signedflow.pde import _abs_mobility
     D = wall_l1 / 2.0
     xs = np.linspace(-3.2, 3.2, 257)
     dx = xs[1] - xs[0]
     v0 = barenblatt_primitive(1.0, xs, 1.0, D)
     u0 = GridFunction(-3.2, dx, v0, 0.0, 1.0)
     d0 = np.diff(v0) / dx
-    p_max = max(2.0 * float(np.max(np.abs(d0))), 1.0)
-    table = MobilityTable.build(WALL, ScalingRegime(m=2), p_max, tol=1e-8)
-    fmax = float(np.max(table.f_of(d0)))
+    mobility = _abs_mobility(l1_norm(WALL, 1e-8))
+    fmax = float(np.max(mobility(d0)[0]))
     dt = 0.9 * 0.45 * dx ** 2 / (2 * fmax)  # far below one step's move bound
     out, info = solve_local(u0, 2, WALL, 1.0, None, dt, cfl_safety=0.45)
     assert info.steps == 1
     d1 = np.diff(out.values) / dx
-    g1 = table.g_of(d1)
+    g1 = mobility(d1)[1]
     a, b = 40, 200
     mass_change = float(np.sum(d1[a:b] - d0[a:b])) * dx
     flux_change = info.dt_min / dx * ((g1[b] - g1[b - 1]) - (g1[a] - g1[a - 1]))
@@ -293,15 +292,23 @@ def test_one_step_flux_identity(wall_l1):
 
 @pytest.mark.parametrize("m", [2, 3])
 def test_mobility_antiderivative_matches_f(m):
-    # Newton's Jacobian takes f_of as the derivative of g_of: they must agree
-    # between the table nodes and beyond the table, not only at the nodes
+    # Newton's Jacobian takes f as the derivative of G: they must agree
+    # between the table nodes and beyond the table, not only at the nodes.
+    # At m = 2 the solver's mobility is the closed form c|p|.
     from signedflow import MobilityTable, ScalingRegime
-    table = MobilityTable.build(WALL, ScalingRegime(m=m, beta=1.0), 3.0, num=65)
-    h = np.diff(table.ps)
-    p = np.concatenate([table.ps[:-1] + 0.3 * h, [-4.5, 4.5]])
+    from signedflow.pde import _abs_mobility
+    if m == 3:
+        mobility = MobilityTable.build(WALL, ScalingRegime(m=3, beta=1.0), 3.0,
+                                       num=65)
+        ps = mobility.ps
+    else:
+        mobility = _abs_mobility(l1_norm(WALL, 1e-8))
+        ps = np.linspace(-3.0, 3.0, 65)
+    h = np.diff(ps)
+    p = np.concatenate([ps[:-1] + 0.3 * h, [-4.5, 4.5]])
     e = 1e-4 * h[0]
-    slope = (table.g_of(p + e) - table.g_of(p - e)) / (2 * e)
-    assert slope == pytest.approx(table.f_of(p), rel=1e-8)
+    slope = (mobility(p + e)[1] - mobility(p - e)[1]) / (2 * e)
+    assert slope == pytest.approx(mobility(p)[0], rel=1e-8)
 
 
 def test_solve_info_counts_step_limits():
@@ -397,10 +404,13 @@ def test_march_rejects_non_finite_step():
     from signedflow.pde import _march
     u0 = GridFunction(0.0, 0.1, np.zeros(5), 0.0, 0.0)
 
-    def scheme(u):
-        return 0.1, "move", lambda dt: np.where(np.arange(5) == 2, np.nan, u)
+    def nan_flux(p):
+        return np.ones_like(p), np.full_like(p, np.nan)
+
+    def prepare(u, d):
+        return nan_flux, np.zeros_like(u)
     with pytest.raises(ConvergenceError):
-        _march(u0, 1.0, None, 0.45, scheme)
+        _march(u0, 1.0, None, 0.45, prepare)
 
 
 @pytest.mark.parametrize("solve", [
