@@ -39,7 +39,7 @@ def _cmd_simulate(args) -> int:
         st0 = quantile_particles(cfg.density(), int(cfg.n_list[0]))
     res = simulate(st0, pot, reg.alpha_of(st0.n), fld, cfg.t_end,
                    IntegratorOptions(rk_tol=cfg.tolerances["rk_tol"]),
-                   t_eval=cfg.snapshot_times or None)
+                   t_eval=cfg.snapshot_times)
     if args.traj:
         with open(args.traj, "w") as fh:
             fh.write(res.trajectory_csv() + "\n")
@@ -53,6 +53,7 @@ def _cmd_simulate(args) -> int:
     print(f"simulated n={st0.n} to t={cfg.t_end}: {len(res.events)} events, "
           f"{s['accepted']} accepted steps, {s['rejected']} rejected, "
           f"{s['force_evals']} force evaluations, "
+          f"{s['pair_evals']} pairs swept by them, "
           f"{s['gap_capped']} steps set by the gap cap, "
           f"{s['snapshot_capped']} by a snapshot time, "
           f"{s['end_capped']} by t_end")

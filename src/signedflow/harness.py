@@ -170,11 +170,21 @@ class ExperimentConfig:
             raise DataError("potential spec needs a 'kind'")
         if self.regime.get("m") not in (1, 2, 3):
             raise DataError("regime m must be 1, 2 or 3")
+        missing = [k for k in ("conv_tol", "slack", "rk_tol", "quad_tol")
+                   if k not in self.tolerances]
+        if missing:
+            raise DataError(f"tolerances lack {', '.join(missing)}")
         for key, val in self.tolerances.items():
             if val <= 0:
                 raise DataError(f"tolerance '{key}' must be positive")
         if self.t_end <= 0:
             raise DataError("t_end must be positive")
+        # a convergence check over no particle count or no time compares
+        # nothing, and would pass
+        if not self.n_list:
+            raise DataError("n_list must not be empty")
+        if not self.snapshot_times:
+            raise DataError("snapshot_times must not be empty")
         if any(t > self.t_end for t in self.snapshot_times):
             raise DataError("snapshot times must not exceed t_end")
         nodes = self.grid.get("nodes")

@@ -76,6 +76,8 @@ def test_simulate_writes_stats(tmp_path, capsys):
     st = json.loads(stats.read_text())
     assert st["events"] == 1
     assert st["accepted"] > 0 and st["force_evals"] > st["accepted"]
+    # one pair per evaluation until the event, none after it
+    assert 0 < st["pair_evals"] < st["force_evals"]
     # the snapshot at 0.3 and t_end each set one step
     assert st["snapshot_capped"] == 1 and st["end_capped"] == 1
     capped = st["gap_capped"] + st["snapshot_capped"] + st["end_capped"]
@@ -83,6 +85,7 @@ def test_simulate_writes_stats(tmp_path, capsys):
     summary = capsys.readouterr().out
     assert (f"{st['snapshot_capped']} by a snapshot time, "
             f"{st['end_capped']} by t_end") in summary
+    assert f"{st['pair_evals']} pairs swept" in summary
 
 
 def test_pde_subcommand(tmp_path, capsys):
@@ -124,6 +127,15 @@ def test_subcommands_reject_single_node_grid(tmp_path, capsys, argv):
     assert "grid nodes" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("extra", [{"n_list": []}, {"snapshot_times": []},
+                                   {"tolerances": {"conv_tol": 0.05}}],
+                         ids=["n_list", "snapshot_times", "tolerances"])
+def test_converge_rejects_incomplete_config(tmp_path, capsys, extra):
+    cfg = _write_cfg(tmp_path, extra)
+    assert main(["converge", "--config", str(cfg)]) == 1
+    assert list(extra)[0] in capsys.readouterr().err
+
+
 def test_converge_subcommand(tmp_path):
     cfg = _write_cfg(tmp_path)
     rep = tmp_path / "report.json"
@@ -152,7 +164,6 @@ def test_fit_exponent_subcommand(tmp_path):
         "potential": {"kind": "power_law_force", "a": 0.5},
         "regime": {"m": 1, "alpha": 1.0},
         "t_end": 1.1,
-        "snapshot_times": [],
     })
     out = tmp_path / "fit.json"
     code = main(["fit-exponent", "--config", str(cfg), "--out", str(out)])

@@ -16,8 +16,8 @@ from signedflow import (InvariantViolationError, IntegratorOptions,
                         detect_collision, energy, log_potential,
                         power_law_force_potential, riesz_potential, simulate,
                         stability_experiment, velocities, wall_potential)
-from signedflow.dynamics import _Segment, _event_radii
-from signedflow.potentials import make_field, zero_field
+from signedflow.dynamics import _band_cutoff, _Segment, _event_radii
+from signedflow.potentials import ExternalField, make_field, zero_field
 
 
 # ---------------------------------------------------------------------------
@@ -114,28 +114,64 @@ def test_pair_kernel_matches_double_loop(potname, case):
     pot = {"log": log_potential(), "wall": wall_potential(),
            "riesz": riesz_potential(0.5),
            "power": power_law_force_potential(0.5)}[potname]
-    rng = np.random.default_rng(11)
-    x = np.sort(rng.uniform(-1.0, 1.0, 230))
-    b = rng.choice([-1, 1], 230)
-    b[rng.choice(230, 30, replace=False)] = 0
-    fld = None
-    if case == "field":
-        fld = make_field({"kind": "harmonic", "k": 4.0})
-    else:
-        # one swapped charged pair, as at an unordered stage point
-        i, j = np.flatnonzero(b)[[100, 101]]
-        x[i], x[j] = x[j], x[i]
-    st = ParticleState(0.0, x, b)
+    st = _kernel_config(case)
     assert len(st.charged_indices) == 200
+    fld = make_field({"kind": "harmonic", "k": 4.0}) if case == "field" else None
     alpha = 2.0
     ref_v, ref_scale, ref_e, ref_escale = _pair_reference(st, pot, alpha, fld)
     v = velocities(st, pot, alpha, fld)
     assert np.all(np.abs(v - ref_v) <= 1e-12 * ref_scale)
-    assert np.all(v[b == 0] == 0.0)
+    assert np.all(v[st.b == 0] == 0.0)
     e = energy(st, pot, alpha, fld)
     assert abs(e - ref_e) <= 1e-12 * ref_escale
     seg = _Segment(st.x, st.b, pot, alpha, fld)
     assert seg.energy(seg.xc[None]).tolist() == [e]
+
+
+@pytest.mark.parametrize("shift", [0.99, 3.0])
+def test_pair_kernel_matches_double_loop_banded(shift):
+    # wall, alpha = 60 over a span of 2: the band keeps w = 47 of 199
+    # offsets, 42% of the pairs.  The points move by +-shift half skins,
+    # alternately, so that a pair an odd number of slots apart, the left one
+    # at an even slot, closes by shift skins.  Within the skin (0.99) the
+    # band built at st must hold every pair that comes within the cutoff;
+    # beyond it (3.0) the segment must build a wider band
+    pot, alpha, rk_tol = wall_potential(), 60.0, 1e-9
+    st = _kernel_config("banded")
+    seg = _Segment(st.x, st.b, pot, alpha, None,
+                   radius=_band_cutoff(pot, alpha, rk_tol))
+    w = seg.w
+    assert w < seg.m // 2
+    moved = seg.xc + shift * seg.half_skin * (-1.0) ** np.arange(seg.m)
+    x = st.x.copy()
+    x[seg.idx] = moved
+    ref_v, ref_scale, ref_e, ref_escale = _pair_reference(
+        ParticleState(0.0, x, st.b), pot, alpha, None)
+    # the envelope bound of the dropped pairs (see _band_cutoff), and a
+    # round-off allowance small enough not to hide a pair left out inside r
+    bound = 1e-3 * rk_tol
+    v = seg.rhs(moved)
+    err = np.abs(v - ref_v[seg.idx])
+    assert np.all(err <= 1e-14 * ref_scale[seg.idx] + bound)
+    e = seg.energy(moved[None])[0]
+    assert abs(e - ref_e) <= 1e-14 * ref_escale + bound
+    assert (seg.w > w) == (shift > 1.0)
+
+
+def _kernel_config(case):
+    """200 charged particles of random sign and 30 neutral ones in [-1, 1],
+    at random positions or, for ``banded``, evenly spaced; for
+    ``unordered``, one charged pair is swapped, as at a stage point."""
+    rng = np.random.default_rng(11)
+    x = np.sort(rng.uniform(-1.0, 1.0, 230))
+    if case == "banded":
+        x = np.linspace(-1.0, 1.0, 230)
+    b = rng.choice([-1, 1], 230)
+    b[rng.choice(230, 30, replace=False)] = 0
+    if case == "unordered":
+        i, j = np.flatnonzero(b)[[100, 101]]
+        x[i], x[j] = x[j], x[i]
+    return ParticleState(0.0, x, b)
 
 
 def _zero_net_config(n, seed):
@@ -175,6 +211,58 @@ def test_simulate_reproducible_bit_for_bit(potname):
     a = simulate(st, pot, alpha, None, 0.1)
     assert len(a.events) > 0
     assert _run_bits(a) == _run_bits(simulate(st, pot, alpha, None, 0.1))
+
+
+@pytest.mark.parametrize("potname", ["log", "power", "wall"])
+def test_unbanded_runs_match_full_pair_list_bitwise(potname, monkeypatch):
+    # power and log tails never band, and a wall run whose charged span
+    # stays within the cutoff plus the skin sweeps every pair, in the order
+    # of the full pair list
+    pot, alpha = {"log": (log_potential(), 1.0),
+                  "power": (power_law_force_potential(3.0), 1.0),
+                  "wall": (wall_potential(), math.sqrt(12))}[potname]
+    assert (_band_cutoff(pot, 1e3, 1e-9) == np.inf) == (potname != "wall")
+    st = _zero_net_config(12, 5)
+    res = simulate(st, pot, alpha, None, 0.1)
+    assert len(res.events) > 0
+    monkeypatch.setattr(signedflow.dynamics, "_band_cutoff", lambda *a: np.inf)
+    assert _run_bits(res) == _run_bits(simulate(st, pot, alpha, None, 0.1))
+
+
+def _funnel_field(c=1.0, eps=0.01):
+    """U = c eps log(2 cosh(x / eps)): the force -c tanh(x / eps) is -c sign(x)
+    to the last bit for |x| > 0.2, so particles there move at constant
+    speed and error control lets the step grow fivefold per step."""
+    def u(x):
+        y = np.asarray(x) / eps
+        return c * eps * np.logaddexp(y, -y)
+
+    return ExternalField(
+        u=u, uprime=lambda x: c * np.tanh(np.asarray(x) / eps),
+        lipschitz_bound_uprime=c / eps, name="funnel")
+
+
+def test_band_follows_pair_closing_into_cutoff(monkeypatch):
+    # two like charges at unit speed towards each other: their gap falls
+    # from 2 (40 in units of 1/alpha) past the cutoff radius in two steps,
+    # and the wall repulsion stops it near 0.2.  The band, empty at the
+    # start, must take the pair in before any stage point comes within the
+    # cutoff
+    pot, alpha, rk_tol, t_end = wall_potential(), 20.0, 1e-9, 1.5
+    st = ParticleState(0.0, [-1.0, 1.0], [1, 1])
+    res = simulate(st, pot, alpha, _funnel_field(), t_end, t_eval=[1.0])
+    r = _band_cutoff(pot, alpha, rk_tol)
+    gaps = np.array(res.diagnostics.d_plus)
+    inside = int(np.argmax(gaps < r))
+    assert inside > 2 and gaps[inside - 2] > 1.25 * r and gaps[-1] < 0.3 * r
+    # the pair was left out while it was far
+    assert res.stats["pair_evals"] < res.stats["force_evals"]
+    monkeypatch.setattr(signedflow.dynamics, "_band_cutoff", lambda *a: np.inf)
+    full = simulate(st, pot, alpha, _funnel_field(), t_end, t_eval=[1.0])
+    assert full.stats["pair_evals"] == full.stats["force_evals"]
+    # dropped forces are below 1e-3 rk_tol (see _band_cutoff)
+    for a, b in zip(res.snapshots + [res.state], full.snapshots + [full.state]):
+        assert np.abs(a.x - b.x).max() <= 1e-3 * rk_tol * t_end
 
 
 @pytest.mark.parametrize("case", ["harmonic", "many"])
@@ -310,6 +398,17 @@ def test_simulation_stats_count_steps_and_evaluations():
     snap = simulate(st, log_potential(), 1.0, None, 2.0,
                     t_eval=[0.5, 1.0, 1.5]).stats
     assert snap["snapshot_capped"] == 3 and snap["end_capped"] == 1
+    # a log run sweeps all m(m-1)/2 pairs per evaluation: 6 while the four
+    # like charges never meet
+    like = simulate(ParticleState(0.0, st.x, [1, 1, 1, 1]), log_potential(),
+                    1.0, None, 0.5).stats
+    assert like["pair_evals"] == 6 * like["force_evals"] > 0
+    assert s["force_evals"] <= s["pair_evals"] < 6 * s["force_evals"]
+    # 40 wall charges at alpha = 40 span 80 / alpha: the band drops pairs
+    wall = simulate(ParticleState(0.0, np.linspace(-1.0, 1.0, 40),
+                                  np.ones(40, dtype=int)),
+                    wall_potential(), 40.0, None, 0.01).stats
+    assert 0 < wall["pair_evals"] < 780 * wall["force_evals"]
 
 
 def test_single_particle_stationary():

@@ -121,6 +121,25 @@ def test_config_rejects_grid_below_two_nodes(nodes):
         ExperimentConfig.from_dict(bad)
 
 
+@pytest.mark.parametrize("key", ["n_list", "snapshot_times"])
+def test_config_rejects_empty_run_lists(key):
+    # a convergence check over no n or no time would compare nothing
+    bad = _cfg_dict()
+    bad[key] = []
+    with pytest.raises(DataError, match=key):
+        ExperimentConfig.from_dict(bad)
+
+
+def test_config_names_missing_tolerances():
+    bad = _cfg_dict()
+    bad["tolerances"] = {"conv_tol": 0.05}
+    with pytest.raises(DataError, match="slack, rk_tol, quad_tol"):
+        ExperimentConfig.from_dict(bad)
+    bad["tolerances"] = {"conv_tol": 0.05, "slack": 1.1, "rk_tol": 1e-9,
+                         "quad_tol": 1e-9}
+    assert ExperimentConfig.from_dict(bad).tolerances["rk_tol"] == 1e-9
+
+
 def test_two_node_grid_solves():
     d = _cfg_dict()
     d["grid"] = {"half_width": 2.0, "nodes": 2, "rho": 0.5}
