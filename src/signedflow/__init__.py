@@ -4,10 +4,10 @@ from .errors import (ConvergenceError, DataError, DegenerateGradientError,
                      InvariantViolationError, NonIntegrableError,
                      SignedFlowError, SingularConfigurationError,
                      StiffnessError, UnsupportedOrderError)
-from .potentials import (AUDIT_PROFILES, AuditOptions, ComplianceItem,
-                         ComplianceReport, ExternalField, Potential,
-                         ScalingRegime, audit_assumptions, custom_potential,
-                         l1_norm, lattice_series, log_potential, make_field,
+from .potentials import (AUDIT_PROFILES, ComplianceItem, ComplianceReport,
+                         ExternalField, Potential, ScalingRegime,
+                         audit_assumptions, custom_potential, l1_norm,
+                         lattice_series, log_potential, make_field,
                          make_potential, mobility, power_law_force_potential,
                          rescaled_derivative, riesz_potential, wall_potential,
                          zero_field)

@@ -406,11 +406,14 @@ def _gaps(x):
 
 def _band_pairs(m, w):
     """Pairs (i, j) with i < j <= i + w of m particles, row by row, as
-    contiguous index arrays built the way ``np.triu_indices`` builds them;
-    w = m - 1 gives every pair, equal to ``np.triu_indices(m, 1)``."""
-    band = np.tri(m, m, w, dtype=bool) & ~np.tri(m, m, 0, dtype=bool)
-    return tuple(np.broadcast_to(ix, band.shape)[band]
-                 for ix in np.indices(band.shape, sparse=True))
+    contiguous index arrays; w = m - 1 gives every pair, equal to
+    ``np.triu_indices(m, 1)``.  Row i holds min(w, m - 1 - i) pairs, and its
+    j run from i + 1 on."""
+    counts = np.minimum(w, np.arange(m - 1, -1, -1))
+    i = np.repeat(np.arange(m), counts)
+    starts = np.cumsum(counts) - counts
+    j = np.arange(len(i)) + np.repeat(np.arange(1, m + 1) - starts, counts)
+    return i, j
 
 
 def _band_cutoff(pot, alpha, rk_tol):
@@ -501,8 +504,14 @@ class _Segment:
         self.half_skin = 0.5 * self.skin
         self.ref = None
         self.base = self.xc
-        self._set_pairs(self.m - 1)
+        # the band, if the span calls for one, replaces the full list before
+        # that is built
+        self.chunks = None
+        self.w = self.m - 1
+        self.n_pairs = self.m * self.w // 2
         self._watch_span()
+        if self.chunks is None:
+            self._set_pairs(self.w)
 
     def _set_pairs(self, w):
         """Sweep the pairs j - i <= w; (i, j, alpha b_i b_j, -alpha^2 b_i b_j)

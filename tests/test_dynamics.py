@@ -16,7 +16,8 @@ from signedflow import (InvariantViolationError, IntegratorOptions,
                         detect_collision, energy, log_potential,
                         power_law_force_potential, riesz_potential, simulate,
                         stability_experiment, velocities, wall_potential)
-from signedflow.dynamics import _band_cutoff, _Segment, _event_radii
+from signedflow.dynamics import (_band_cutoff, _band_pairs, _Segment,
+                                 _event_radii)
 from signedflow.potentials import ExternalField, make_field, zero_field
 
 
@@ -156,6 +157,21 @@ def test_pair_kernel_matches_double_loop_banded(shift):
     e = seg.energy(moved[None])[0]
     assert abs(e - ref_e) <= 1e-14 * ref_escale + bound
     assert (seg.w > w) == (shift > 1.0)
+
+
+@pytest.mark.parametrize("m", [0, 1, 2, 7, 64])
+def test_band_pairs_match_mask_construction(m):
+    # reference: the upper band of an m x m mask, gathered row by row
+    for w in range(min(m - 1, 0), m):
+        band = np.tri(m, m, w, dtype=bool) & ~np.tri(m, m, 0, dtype=bool)
+        ref = [np.broadcast_to(ix, band.shape)[band]
+               for ix in np.indices(band.shape, sparse=True)]
+        got = _band_pairs(m, w)
+        for g, r in zip(got, ref):
+            assert g.dtype == r.dtype and g.tolist() == r.tolist(), (m, w)
+            assert g.flags.c_contiguous
+    iu, ju = _band_pairs(m, m - 1)
+    assert [iu.tolist(), ju.tolist()] == [a.tolist() for a in np.triu_indices(m, 1)]
 
 
 def _kernel_config(case):
@@ -312,14 +328,18 @@ def test_particle_run_loads_no_scipy():
 
 
 def test_velocities_silence_float_warnings_at_tiny_gap():
-    # sinh(1e-200)**2 underflows to 0, so V' divides by zero
+    # V'(x) = -1/x near 0 overflows below about 5.6e-309 (1e-310 is
+    # subnormal); the bare evaluator warns there, velocities must not
     st = ParticleState(0.0, [0.0, 1e-200], [1, -1])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         v = velocities(st, wall_potential(), 1.0)
+        v_over = velocities(ParticleState(0.0, [0.0, 1e-310], [1, -1]),
+                            wall_potential(), 1.0)
         with pytest.raises(RuntimeWarning):
-            wall_potential().derivs[1](np.array([1e-200]))
+            wall_potential().derivs[1](np.array([1e-310]))
     assert v[0] > 0 > v[1]
+    assert v_over[0] > 0 > v_over[1]
 
 
 def test_wall_energy_finite_at_tiny_gap():

@@ -1,6 +1,7 @@
 """Potential families: closed forms, integrals, series, audits."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -57,6 +58,32 @@ def test_rescale_errors():
 # ---------------------------------------------------------------------------
 # evenness / oddness and finite-difference cross-checks
 # ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("a", [0.0, 0.5, 1.5, -0.5, 2.0, 0.25])
+def test_power_family_tables_match_closed_forms_bitwise(a):
+    # the Riesz and power-law force tables, and log's for a = 0, against
+    # their closed forms; coefficients multiply left to right
+    x = np.geomspace(1e-8, 1e6, 20001)
+    if a == 0:
+        c = 0.5
+        pots = [(log_potential(), [-np.log(x), -1.0 / x, 1.0 / x ** 2,
+                                   -2.0 / x ** 3, 6.0 / x ** 4]),
+                (power_law_force_potential(0.0),
+                 [-c * np.log(x), -c / x, c / x ** 2, -2.0 * c / x ** 3,
+                  6.0 * c / x ** 4])]
+    else:
+        p1, p2, p3 = -a, -a * (-a - 1), -a * (-a - 1) * (-a - 2)
+        p4 = -a * (-a - 1) * (-a - 2) * (-a - 3)
+        pots = [(pot, [s * x ** -a, s * p1 * x ** (-a - 1),
+                       s * p2 * x ** (-a - 2), s * p3 * x ** (-a - 3),
+                       s * p4 * x ** (-a - 4)])
+                for pot, s in ((riesz_potential(a), -1.0 if a < 0 else 1.0),
+                               (power_law_force_potential(a),
+                                1.0 / (2.0 + a) / a))]
+    for pot, table in pots:
+        for k, ref in enumerate(table):
+            assert pot.derivs[k](x).tobytes() == ref.tobytes(), (pot.name, k)
+
 
 @pytest.mark.parametrize("pot", [log_potential(), wall_potential(),
                                  riesz_potential(0.5), riesz_potential(-0.5),
@@ -124,15 +151,55 @@ def test_wall_large_argument_stable():
     assert pot.deriv(1e30, 0) == 0.0  # underflows cleanly, no overflow
 
 
-@pytest.mark.parametrize("lo,hi", [(1e-3, 19.0), (20.5, 60.0), (1e-3, 60.0)])
+@pytest.mark.parametrize("lo,hi", [(1e-3, 19.0), (20.5, 60.0), (1e-3, 60.0),
+                                   (350.0, 450.0)])
 def test_wall_first_derivative_arrays_match_pointwise(lo, hi):
-    # below CUT = 20 only, above it only, and straddling it
-    v1 = wall_potential().derivs[1]
-    x = np.concatenate([np.geomspace(lo, hi, 97), [20.0] if lo < 20.0 < hi else []])
-    whole = v1(x)
-    one_by_one = np.array([v1(np.array([xi]))[0] for xi in x])
-    assert whole.tobytes() == one_by_one.tobytes()
-    assert np.ndim(v1(3.0)) == 0 and v1(3.0) == v1(np.array([3.0]))[0]
+    # orders 1-4; the last range straddles the clamp at x = 400
+    x = np.concatenate([np.geomspace(lo, hi, 97), [400.0] if lo < 400.0 < hi else []])
+    for vk in wall_potential().derivs[1:]:
+        whole = vk(x)
+        one_by_one = np.array([vk(np.array([xi]))[0] for xi in x])
+        assert whole.tobytes() == one_by_one.tobytes()
+        assert np.ndim(vk(3.0)) == 0 and vk(3.0) == vk(np.array([3.0]))[0]
+
+
+def test_wall_derivatives_high_precision_whole_range():
+    # orders 1-4 from 1e-60 to 1e300, and densely where the values become
+    # subnormal, against mpmath at 150 digits: within 4e-15 relative where
+    # the reference is a normal double, within one subnormal step (exactly 0
+    # beyond x = 400) where it is not
+    mp = pytest.importorskip("mpmath")
+    pot = wall_potential()
+    xs = np.concatenate([np.geomspace(1e-60, 1e300, 2750),
+                         np.linspace(300.0, 420.0, 401)])
+    refs = {
+        1: lambda x, s, c: -x / s ** 2,
+        2: lambda x, s, c: (2 * x * c - s) / s ** 3,
+        3: lambda x, s, c: (4 * (s - x * c) * c - 2 * x) / s ** 4,
+        4: lambda x, s, c: (4 * s ** 3 - 8 * x * s ** 2 * c - 2 * s
+                            - 16 * s * c ** 2 + 16 * x * c ** 3
+                            + 8 * x * c) / s ** 5,
+    }
+    tiny = np.finfo(float).tiny
+    step = np.nextafter(0.0, 1.0)
+    with mp.workdps(150):
+        for k, fk in refs.items():
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                got = pot.derivs[k](xs)
+                assert np.ndim(pot.derivs[k](2.0)) == 0
+            for x, g in zip(xs, got):
+                xm = mp.mpf(x)
+                ref = float(fk(xm, mp.sinh(xm), mp.cosh(xm)))
+                if abs(ref) >= tiny:
+                    assert abs(g - ref) <= 4e-15 * abs(ref), (k, x)
+                else:
+                    assert abs(g - ref) <= step, (k, x)
+                    assert x < 400.0 or g == 0.0, (k, x)
+    # V'(x) = -1/x to double precision near 0, down to where it overflows
+    v1 = pot.derivs[1]
+    assert v1(1e-200) == -1e200
+    assert v1(1e-300) == -1.0 / 1e-300  # -9.999999999999999e+299
 
 
 # ---------------------------------------------------------------------------
