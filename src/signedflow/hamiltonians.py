@@ -11,10 +11,12 @@ against the rescaled kernel V_alpha'' (even, nonnegative, singular at 0):
 
 The quantized integrand is piecewise constant between level crossings of the
 increment, so the ball integral is evaluated *exactly* as a sum of E-values
-times differences of V_alpha' at the crossing radii (int V'' = dV').  The
-principal value is realized by pairing z with -z: on the detected core
-B_rho0, where the increment stays inside (-eps, eps) with the sign of z, the
-paired integrand vanishes identically, so the core contributes exactly 0.
+times differences of V_alpha' at the crossing radii (int V'' = dV').  One
+scan of the levels eps*Z per side of x finds every crossing on (0, rho).  The
+principal value is realized by pairing z with -z: the core radius rho0 is the
+first crossing on either side, so on B_rho0 the increment stays inside
+(-eps, eps) with the sign of z, the paired integrand vanishes identically,
+and the core contributes exactly 0.
 
 Far fields are piecewise-constant staircases (exact sums) or clamped smooth
 probes (crossing sums up to the freeze radius, exact constant tails); both
@@ -250,66 +252,6 @@ def _side_crossings(g, dg, lo: float, hi: float, eps: float, crit=None,
 
 
 # ---------------------------------------------------------------------------
-# core radius: where the paired principal value vanishes exactly
-# ---------------------------------------------------------------------------
-
-def _first_break(g, dg, sgn: float, rho: float, eps: float, crit=None):
-    """Largest r <= rho with 0 < sgn*g < eps throughout (0, r).
-
-    Walks the monotone pieces of g; the break is the first return of g to 0
-    or the first |g| = eps crossing, whichever comes first.
-    """
-    from scipy import optimize
-
-    if crit is None:
-        crit = _critical_radii(dg, 0.0, rho)
-    crit = sorted(c for c in crit if 0.0 < c < rho)
-    bounds = [0.0] + crit + [rho]
-    for a, b in zip(bounds[:-1], bounds[1:]):
-        if b <= a:
-            continue
-        gb = _scalar(g, b)
-        if sgn * gb <= 0.0:
-            lo = a if a > 0 else b * 1e-12
-            try:
-                r0 = optimize.brentq(lambda r: _scalar(g, r), lo, b, xtol=1e-15)
-            except ValueError:
-                r0 = a
-            return min(r0, rho), crit
-        if abs(gb) >= eps:
-            lo = a if a > 0 else b * 1e-15
-            if abs(_scalar(g, lo)) - eps < 0:
-                r0 = optimize.brentq(lambda r: abs(_scalar(g, r)) - eps,
-                                     lo, b, xtol=1e-15)
-                return min(r0, rho), crit
-            return a, crit
-    return rho, crit
-
-
-def _core_radius(phi: TestFunction, x: float, rho: float, eps: float,
-                 crit_right=None, crit_left=None):
-    """rho0 with pv over B_rho0 identically zero under z <-> -z pairing."""
-    s = _scalar(phi.d1, x)
-    if s == 0.0:
-        raise DegenerateGradientError("probe gradient vanishes at x")
-    sgn = math.copysign(1.0, s)
-    f0 = _scalar(phi.f, x)
-
-    def g_right(r):
-        return np.asarray(phi.f(x + np.asarray(r)), dtype=float) - f0
-
-    def g_left(r):
-        return np.asarray(phi.f(x - np.asarray(r)), dtype=float) - f0
-
-    r_r, crit_r = _first_break(g_right, lambda r: phi.d1(x + np.asarray(r)),
-                               sgn, rho, eps, crit=crit_right)
-    r_l, crit_l = _first_break(g_left, lambda r: -np.asarray(
-        phi.d1(x - np.asarray(r)), dtype=float), -sgn, rho, eps,
-        crit=crit_left)
-    return min(r_r, r_l), crit_r, crit_l
-
-
-# ---------------------------------------------------------------------------
 # quantized operator
 # ---------------------------------------------------------------------------
 
@@ -317,10 +259,15 @@ def _paired_ball(phi: TestFunction, x: float, pot: Potential, rho: float,
                  eps: float, alpha: float, envelope: str,
                  inverse_right=None, inverse_left=None,
                  crit_right=None, crit_left=None):
-    """Exact pv integral over B_rho of E_eps[increment] V_alpha''."""
-    rho0, crit_r, crit_l = _core_radius(phi, x, rho, eps, crit_right, crit_left)
-    if rho0 >= rho:
-        return 0.0, rho0
+    """Exact pv integral over B_rho of E_eps[increment] V_alpha''.
+
+    One scan of the levels eps*Z per side on (0, rho) gives every crossing.
+    The core radius rho0 is the first crossing on either side: before it
+    each increment lies strictly between 0 and eps * sign(phi'(x) z), so the
+    paired E-values are eps/2 - eps/2 = 0 and B_rho0 contributes exactly 0.
+    """
+    if _scalar(phi.d1, x) == 0.0:
+        raise DegenerateGradientError("probe gradient vanishes at x")
     f0 = _scalar(phi.f, x)
 
     def g_right(r):
@@ -330,16 +277,18 @@ def _paired_ball(phi: TestFunction, x: float, pot: Potential, rho: float,
         return np.asarray(phi.f(x - np.asarray(r)), dtype=float) - f0
 
     cr_r, bounds_r = _side_crossings(
-        g_right, lambda r: phi.d1(x + np.asarray(r)), rho0, rho, eps,
-        crit=[c for c in crit_r if rho0 < c < rho], inverse=inverse_right)
+        g_right, lambda r: phi.d1(x + np.asarray(r)), 0.0, rho, eps,
+        crit=crit_right, inverse=inverse_right)
     cr_l, bounds_l = _side_crossings(
         g_left, lambda r: -np.asarray(phi.d1(x - np.asarray(r)), dtype=float),
-        rho0, rho, eps,
-        crit=[c for c in crit_l if rho0 < c < rho], inverse=inverse_left)
-    radii = np.concatenate([cr_r, cr_l, np.asarray(bounds_r),
-                            np.asarray(bounds_l)])
+        0.0, rho, eps, crit=crit_left, inverse=inverse_left)
+    crossings = np.concatenate([cr_r, cr_l])
+    rho0 = float(crossings.min(initial=rho))
+    if rho0 >= rho:
+        return 0.0, rho
+    radii = np.concatenate([crossings, bounds_r, bounds_l])
     radii = radii[(radii > rho0) & (radii < rho)]
-    grid = np.unique(np.concatenate([[rho0], np.sort(radii), [rho]]))
+    grid = np.unique(np.concatenate([[rho0], radii, [rho]]))
     mids = 0.5 * (grid[:-1] + grid[1:])
     e_sum = (staircase_identity(g_right(mids), eps, envelope)
              + staircase_identity(g_left(mids), eps, envelope))
@@ -347,8 +296,6 @@ def _paired_ball(phi: TestFunction, x: float, pot: Potential, rho: float,
     # summation by parts: sum e_j (vp_{j+1} - vp_j) differences the E-levels
     # (exact multiples of eps) instead of the large kernel antiderivative,
     # avoiding a cancellation floor when the rescaled kernel is steep
-    if len(e_sum) == 0:
-        return 0.0, rho0
     pieces = [e_sum[-1] * vp[-1], -e_sum[0] * vp[0]]
     if len(e_sum) > 1:
         de = np.diff(e_sum)
@@ -359,21 +306,16 @@ def _paired_ball(phi: TestFunction, x: float, pot: Potential, rho: float,
 def _far_pieces(far, x: float, rho: float, side: int):
     """Half-line decomposition of r -> far(x + side*r) - far(x), r > rho.
 
-    Returns (smooth part or None, staircase bounds, staircase increments):
-    the smooth part is (g, dg, r_hi) on (rho, r_hi); the staircase part is a
-    list of (r_lo, r_hi, increment) with r_hi possibly inf.
+    Returns (smooth, bounds, incr).  The smooth part is (g, dg, r_hi) on
+    (rho, r_hi), or None; past it the increment is the constant incr[j] on
+    (bounds[j], bounds[j + 1]), and the last bound is inf.
     """
     if isinstance(far, Staircase):
-        fx = float(far.eval_right(x))
         zj = (far.jumps - x) * side
-        inner = np.sort(zj[zj > rho])
-        bounds = np.concatenate([[rho], inner, [np.inf]])
-        pieces = []
-        for a, b in zip(bounds[:-1], bounds[1:]):
-            probe = a + 1.0 if not np.isfinite(b) else 0.5 * (a + b)
-            val = float(far.eval_right(x + side * probe)) - fx
-            pieces.append((a, b, val))
-        return None, pieces
+        bounds = np.concatenate([[rho], np.sort(zj[zj > rho]), [np.inf]])
+        probes = np.append(0.5 * (bounds[:-2] + bounds[1:-1]), bounds[-2] + 1.0)
+        incr = far.eval_right(x + side * probes) - float(far.eval_right(x))
+        return None, bounds, incr
     if isinstance(far, ClampedProbe):
         fx = _scalar(far, x)
         freeze = far.center + side * far.radius
@@ -386,11 +328,9 @@ def _far_pieces(far, x: float, rho: float, side: int):
             return side * np.asarray(far.probe.d1(x + side * np.asarray(r)),
                                      dtype=float)
 
-        tail_incr = _scalar(g, max(rho, r_hi) + 1.0)
-        pieces = [(max(rho, r_hi), np.inf, tail_incr)]
-        if r_hi > rho:
-            return (g, dg, r_hi), pieces
-        return None, pieces
+        r_lo = max(rho, r_hi)
+        smooth = (g, dg, r_hi) if r_hi > rho else None
+        return smooth, np.array([r_lo, np.inf]), np.array([_scalar(g, r_lo + 1.0)])
     raise TypeError(f"unsupported far-field type {type(far).__name__}")
 
 
@@ -398,7 +338,7 @@ def _tail_quantized(far, x: float, pot: Potential, rho: float, eps: float,
                     alpha: float, envelope: str) -> float:
     total = 0.0
     for side in (+1, -1):
-        smooth, pieces = _far_pieces(far, x, rho, side)
+        smooth, bounds, incr = _far_pieces(far, x, rho, side)
         if smooth is not None:
             g, dg, r_hi = smooth
             cr, bnds = _side_crossings(g, dg, rho, r_hi, eps)
@@ -408,10 +348,8 @@ def _tail_quantized(far, x: float, pot: Potential, rho: float, eps: float,
             e = staircase_identity(g(mids), eps, envelope)
             vp = _vp(pot, alpha, grid)
             total += float(np.sum(e * np.diff(vp)))
-        for a, b, incr in pieces:
-            e = staircase_identity(incr, eps, envelope)
-            dv = _vp(pot, alpha, np.array([b]))[0] - _vp(pot, alpha, np.array([a]))[0]
-            total += e * dv
+        e = staircase_identity(incr, eps, envelope)
+        total += float(np.sum(e * np.diff(_vp(pot, alpha, bounds))))
     return total
 
 
@@ -421,7 +359,8 @@ def quantized_nonlocal(phi: TestFunction, farfield, x: float, pot: Potential,
     """Quantized singular operator at resolution eps (exact evaluation).
 
     Requires phi'(x) != 0.  ``parts=True`` also returns the ball and tail
-    contributions and the detected core radius.
+    contributions and the core radius rho0, the first crossing of the levels
+    eps*Z by the increment on either side of x (rho if there is none).
     """
     ball, rho0 = _paired_ball(phi, x, pot, params.rho, params.eps,
                               params.alpha_eps, envelope)
@@ -463,16 +402,14 @@ def _tail_raw(far, x: float, pot: Potential, rho: float, alpha: float,
 
     total = 0.0
     for side in (+1, -1):
-        smooth, pieces = _far_pieces(far, x, rho, side)
+        smooth, bounds, incr = _far_pieces(far, x, rho, side)
         if smooth is not None:
             g, _, r_hi = smooth
             val, _ = integrate.quad(
                 lambda r: _scalar(g, r) * alpha ** 3 * pot.deriv(alpha * r, 2),
                 rho, r_hi, epsabs=quad_tol, epsrel=1e-9, limit=400)
             total += val
-        for a, b, incr in pieces:
-            dv = _vp(pot, alpha, np.array([b]))[0] - _vp(pot, alpha, np.array([a]))[0]
-            total += incr * dv
+        total += float(np.sum(incr * np.diff(_vp(pot, alpha, bounds))))
     return total
 
 

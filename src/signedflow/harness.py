@@ -367,7 +367,8 @@ def run_convergence(cfg: ExperimentConfig, progress=None) -> dict:
 
     The report contains (n, t, distance) rows and pass/fail flags:
     distances must be nonincreasing in n up to the configured slack, with
-    the final distance below conv_tol.
+    the final distance below conv_tol, and every charged particle of every
+    snapshot must lie inside the comparison window.
     """
     pot, reg, fld = cfg.build()
     dens = cfg.density()
@@ -380,6 +381,8 @@ def run_convergence(cfg: ExperimentConfig, progress=None) -> dict:
 
     rows = []
     events_total = 0
+    passed = True
+    notes = []
     for n in cfg.n_list:
         st0 = quantile_particles(dens, int(n))
         res = simulate(st0, pot, reg.alpha_of(int(n)), fld,
@@ -389,11 +392,16 @@ def run_convergence(cfg: ExperimentConfig, progress=None) -> dict:
             g = GridFunction(sol.x0, sol.dx, uv, sol.far_left, sol.far_right)
             d = sup_distance(cumulative_charge(snap), g, window)
             rows.append({"n": int(n), "t": float(tk), "distance": float(d)})
+            xc = np.asarray(snap.x)[np.asarray(snap.b) != 0]
+            outside = int(np.count_nonzero((xc < window[0]) | (xc > window[1])))
+            if outside:
+                passed = False
+                notes.append(f"n={n}, t={tk:g}: {outside} charged particles "
+                             f"outside the comparison window "
+                             f"[{window[0]:.4g}, {window[1]:.4g}]")
         if progress:
             progress(n)
 
-    passed = True
-    notes = []
     slack = tol["slack"]
     for tk in cfg.snapshot_times:
         col = [r["distance"] for r in rows if r["t"] == tk]

@@ -717,17 +717,18 @@ def audit_assumptions(pot: Potential, profile: str) -> ComplianceReport:
             items.append(ComplianceItem("V_L1", "pass", {"l1_norm": v}))
         except (NonIntegrableError, ConvergenceError) as exc:
             items.append(ComplianceItem("V_L1", "fail", {"error": str(exc)}))
-        xs = np.geomspace(1e-6, 1e-2, 9)
-        x4v3 = xs ** 4 * np.abs(pot.deriv(xs, 3))
-        items.append(ComplianceItem(
-            "x4_V3_to_0_origin",
-            "pass" if (x4v3[0] < 0.1 * max(x4v3[-1], 1e-12) or x4v3[0] < 1e-10) else "fail",
-            {"values": [float(v) for v in x4v3[::4]]}))
-        ev3o = _converging_integral(
-            lambda x: x ** 3 * float(pot.envelope(x, 3)),
-            ORIGIN_DECADES, "origin")
-        items.append(ComplianceItem(
-            "x3_V3_L1_origin", "pass" if ev3o["converged"] else "fail", ev3o))
+        if pot.max_order >= 3:
+            xs = np.geomspace(1e-6, 1e-2, 9)
+            x4v3 = xs ** 4 * np.abs(pot.deriv(xs, 3))
+            items.append(ComplianceItem(
+                "x4_V3_to_0_origin",
+                "pass" if (x4v3[0] < 0.1 * max(x4v3[-1], 1e-12) or x4v3[0] < 1e-10) else "fail",
+                {"values": [float(v) for v in x4v3[::4]]}))
+            ev3o = _converging_integral(
+                lambda x: x ** 3 * float(pot.envelope(x, 3)),
+                ORIGIN_DECADES, "origin")
+            items.append(ComplianceItem(
+                "x3_V3_L1_origin", "pass" if ev3o["converged"] else "fail", ev3o))
     else:
         ev2 = _converging_integral(lambda x: x ** 2 * pot.deriv(x, 2),
                                    ORIGIN_DECADES, "origin")

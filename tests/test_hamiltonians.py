@@ -70,6 +70,18 @@ def test_core_radius_detected_positive():
     assert 0.5e-3 < parts["rho0"] < 2e-3
 
 
+@pytest.mark.parametrize("gamma", [0.05, -0.05])
+def test_core_radius_at_return_to_zero(gamma):
+    # K((z + gamma)^4 - gamma^4) dips by K gamma^4 << eps on the side of
+    # -gamma and returns to 0 at |z| = 2|gamma| before either side reaches
+    # eps: the core ends at that level-0 crossing
+    phi = TestFunction.shifted_quartic(2.0, gamma)
+    params = HamiltonianParams(rho=1.0, eps=1e-2, alpha_eps=1.0)
+    _, parts = quantized_nonlocal(phi, Staircase.constant(0.0), 0.0, LOGP,
+                                  params, parts=True)
+    assert parts["rho0"] == pytest.approx(0.1, rel=1e-12)
+
+
 def test_far_field_bound():
     # |tail| <= (4 ||v||_inf + eps) |V_alpha'(rho)|
     vals = np.array([0.0, 0.6, -0.2])
@@ -237,10 +249,11 @@ def test_quartic_probe_sign_symmetry():
     assert a == pytest.approx(b, rel=1e-12)
 
 
-def test_quartic_probe_matches_generic_path():
+@pytest.mark.parametrize("gamma", [0.35, -0.35, -0.05, -1e-3])
+def test_quartic_probe_matches_generic_path(gamma):
     # closed-form crossings against the generic bisection machinery
     from signedflow.hamiltonians import TestFunction as TF, _paired_ball
-    K, gamma, eps = 2.0, 0.35, 1e-3
+    K, eps = 2.0, 1e-3
     fast = quartic_probe_value(WALL, K, gamma, eps, 5.0)
     phi = TF.shifted_quartic(K, gamma)
     ball, _ = _paired_ball(phi, 0.0, WALL, 1.0, eps, 5.0, "upper")

@@ -357,6 +357,30 @@ def test_run_convergence_zero_density():
     assert all(r["distance"] <= 1.0 / r["n"] + 0.01 for r in report["rows"])
 
 
+def test_run_convergence_fails_when_particles_leave_window():
+    # C9's signed log config under a harmonic field: the field acts as
+    # b_i g(x_i), so it pushes the negative charges outward, past the
+    # window the limit grid compares on
+    cfg = ExperimentConfig.from_dict({
+        "potential": {"kind": "log"},
+        "regime": {"m": 1, "alpha": 1.0},
+        "initial": {"kind": "density", "components": [
+            {"sign": 1, "mass": 0.6, "center": -0.9, "width": 1.0},
+            {"sign": -1, "mass": 0.4, "center": 0.9, "width": 1.0}]},
+        "field": {"kind": "harmonic", "k": 4.0},
+        "n_list": [25, 50],
+        "t_end": 0.2,
+        "snapshot_times": [0.1, 0.2],
+        "grid": {"half_width": 3.0, "nodes": 512, "rho": 0.5},
+        "tolerances": {"conv_tol": 0.05, "slack": 1.1, "rk_tol": 1e-9,
+                       "quad_tol": 1e-9},
+    })
+    report = run_convergence(cfg)
+    assert not report["passed"]
+    assert ("n=50, t=0.2: 3 charged particles outside the comparison window "
+            "[-2.965, 2.965]") in report["notes"], report["notes"]
+
+
 def test_report_reproducible():
     cfg = ExperimentConfig.from_dict(_cfg_dict())
     a = run_convergence(cfg)

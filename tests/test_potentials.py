@@ -418,6 +418,22 @@ def test_audit_well_posedness_wall():
     assert rep.item("singularity_lower_bound").status == "pass"
 
 
+@pytest.mark.parametrize("profile, order", [
+    ("well-posedness", None), ("hj1", 3), ("hj2", 3), ("hj3", 4)])
+def test_audit_reports_missing_orders_without_raising(profile, order):
+    # the wall's derivatives of orders 0..2 only: every hj profile needs
+    # order 3 or 4 and must report it; well-posedness needs none above 2
+    pot = custom_potential(wall_potential().derivs[:3], l1_integrable=True,
+                           tail_class="exponential",
+                           monotone_derivative_magnitudes=True)
+    rep = audit_assumptions(pot, profile)
+    if order is None:
+        assert rep.passed, rep.to_json()
+    else:
+        assert not rep.passed
+        assert rep.item(f"deriv_order_{order}").status == "fail"
+
+
 def test_audit_report_serializes():
     import json
     rep = audit_assumptions(log_potential(), "well-posedness")
