@@ -9,14 +9,13 @@ against the rescaled kernel V_alpha'' (even, nonnegative, singular at 0):
   compensated:  int_{B_rho} (psi(x+z)-psi(x)-psi'(x) z) V_alpha''(z) dz
                   + int_{B_rho^c} (v(x+z)-v(x)) V_alpha''(z) dz
 
-The quantized integrand is piecewise constant between level crossings of the
-increment, so the ball integral is evaluated *exactly* as a sum of E-values
-times differences of V_alpha' at the crossing radii (int V'' = dV').  One
-scan of the levels eps*Z per side of x finds every crossing on (0, rho).  The
-principal value is realized by pairing z with -z: the core radius rho0 is the
-first crossing on either side, so on B_rho0 the increment stays inside
-(-eps, eps) with the sign of z, the paired integrand vanishes identically,
-and the core contributes exactly 0.
+E_eps of the increment steps by sigma*eps where it crosses a level of eps*Z,
+sigma = +1 upward and -1 downward.  One scan of the levels per side of x
+finds every crossing (r, sigma) on (0, rho), and the ball integral is the
+*exact* sum eps * sum sigma (V_alpha'(rho) - V_alpha'(r)) over both sides
+(int V'' = dV').  The principal value pairs z with -z: up to the core radius
+rho0, the first crossing on either side, the increment stays inside
+(-eps, eps) with the sign of z and the paired E-values eps/2 - eps/2 cancel.
 
 Far fields are piecewise-constant staircases (exact sums) or clamped smooth
 probes (crossing sums up to the freeze radius, exact constant tails); both
@@ -121,11 +120,11 @@ class HamiltonianParams:
     rho: float
     eps: float
     alpha_eps: float
-    quad_tol: float = 1e-9
 
     def __post_init__(self):
-        if min(self.rho, self.eps, self.alpha_eps, self.quad_tol) <= 0:
-            raise ValueError("rho, eps, alpha_eps and quad_tol must be positive")
+        if not all(math.isfinite(v) and v > 0
+                   for v in (self.rho, self.eps, self.alpha_eps)):
+            raise ValueError("rho, eps and alpha_eps must be finite and positive")
 
 
 @dataclass(frozen=True)
@@ -178,20 +177,13 @@ def _scalar(fn, r: float) -> float:
 
 
 def _critical_radii(dg, lo: float, hi: float, samples: int = 1024):
-    """Zeros of dg on (lo, hi) from a sign scan refined by brentq."""
-    from scipy import optimize
-
+    """Zeros of dg on (lo, hi) from a sign scan refined by bisection."""
     if hi <= lo:
         return []
     rs = np.linspace(lo, hi, samples)
-    vals = np.asarray(dg(rs), dtype=float)
-    sign = np.sign(vals)
-    out = []
-    for k in np.flatnonzero(sign[:-1] * sign[1:] < 0):
-        out.append(float(optimize.brentq(lambda r: _scalar(dg, r),
-                                         rs[k], rs[k + 1], xtol=1e-13,
-                                         maxiter=200)))
-    return out
+    sign = np.sign(np.asarray(dg(rs), dtype=float))
+    k = np.flatnonzero(sign[:-1] * sign[1:] < 0)
+    return _bisect_levels(dg, rs[k], rs[k + 1], 0.0).tolist() if len(k) else []
 
 
 def _bisect_levels(g, zlo, zhi, levels, iters: int = 50):
@@ -210,45 +202,61 @@ def _bisect_levels(g, zlo, zhi, levels, iters: int = 50):
 
 
 def _piece_crossings(g, a: float, b: float, eps: float, inverse=None):
-    """Crossing radii of the levels eps*Z inside a monotone piece [a, b]."""
+    """Crossing radii of the levels eps*Z inside a monotone piece [a, b], in
+    increasing r, and the piece's direction: +1 rising, -1 falling."""
     ga, gb = _scalar(g, a), _scalar(g, b)
-    lo, hi = (ga, gb) if ga <= gb else (gb, ga)
+    sign = 1.0 if ga <= gb else -1.0
+    lo, hi = sorted((ga, gb))
     k_lo = math.floor(lo / eps) + 1
     k_hi = math.ceil(hi / eps) - 1
     if k_hi < k_lo:
-        return np.empty(0)
+        return np.empty(0), sign
     n_levels = k_hi - k_lo + 1
     if n_levels > _MAX_LEVELS:
         raise ConvergenceError(
             f"level count {n_levels} exceeds the refinement budget; "
             "increase eps or shrink the ball")
     levels = np.arange(k_lo, k_hi + 1, dtype=float) * eps
+    if sign < 0:
+        # the order g meets them in: radii increase, so the crossing sums of
+        # mirror-image sides add the same terms in the same order
+        levels = levels[::-1]
     if inverse is not None:
-        return np.clip(inverse(levels, a, b), a, b)
+        return np.clip(inverse(levels, a, b), a, b), sign
     m = int(min(max(256, 4 * n_levels), 4_000_000))
     zs = np.linspace(a, b, m)
     gs = np.asarray(g(zs), dtype=float)
-    if ga <= gb:
+    if sign > 0:
         pos = np.searchsorted(gs, levels)
     else:
         pos = len(zs) - np.searchsorted(gs[::-1], levels, side="right")
     pos = np.clip(pos, 1, m - 1)
-    return _bisect_levels(g, zs[pos - 1], zs[pos], levels)
+    return _bisect_levels(g, zs[pos - 1], zs[pos], levels), sign
 
 
 def _side_crossings(g, dg, lo: float, hi: float, eps: float, crit=None,
                     inverse=None):
-    """eps*Z crossings of g on (lo, hi) plus interior piece boundaries."""
+    """eps*Z crossings of g on (lo, hi) in increasing r, as (radii, signs):
+    E_eps[g] steps by sign * eps at each radius and nowhere else."""
     if hi <= lo:
-        return np.empty(0), []
+        return np.empty(0), np.empty(0)
     if crit is None:
         crit = _critical_radii(dg, lo, hi)
     bounds = [lo] + sorted(c for c in crit if lo < c < hi) + [hi]
-    out = [np.empty(0)]
+    radii, signs = [np.empty(0)], [np.empty(0)]
     for a, b in zip(bounds[:-1], bounds[1:]):
-        if b > a:
-            out.append(_piece_crossings(g, a, b, eps, inverse=inverse))
-    return np.concatenate(out), bounds[1:-1]
+        r, sign = _piece_crossings(g, a, b, eps, inverse=inverse)
+        radii.append(r)
+        signs.append(np.full(len(r), sign))
+    return np.concatenate(radii), np.concatenate(signs)
+
+
+def _crossing_sum(pot: Potential, alpha: float, eps: float, radii, signs,
+                  hi: float) -> float:
+    """int^hi of the E-steps sigma*eps at the crossings (r, sigma) against
+    V_alpha'': eps * sum sigma (V_alpha'(hi) - V_alpha'(r)), int V'' = dV'."""
+    vp = _vp(pot, alpha, np.append(radii, hi))
+    return eps * float(np.sum(signs * (vp[-1] - vp[:-1])))
 
 
 # ---------------------------------------------------------------------------
@@ -256,15 +264,13 @@ def _side_crossings(g, dg, lo: float, hi: float, eps: float, crit=None,
 # ---------------------------------------------------------------------------
 
 def _paired_ball(phi: TestFunction, x: float, pot: Potential, rho: float,
-                 eps: float, alpha: float, envelope: str,
-                 inverse_right=None, inverse_left=None,
-                 crit_right=None, crit_left=None):
-    """Exact pv integral over B_rho of E_eps[increment] V_alpha''.
+                 eps: float, alpha: float, inverse_right=None,
+                 inverse_left=None, crit_right=None, crit_left=None):
+    """Exact pv integral over B_rho of E_eps[increment] V_alpha'', and rho0.
 
-    One scan of the levels eps*Z per side on (0, rho) gives every crossing.
-    The core radius rho0 is the first crossing on either side: before it
-    each increment lies strictly between 0 and eps * sign(phi'(x) z), so the
-    paired E-values are eps/2 - eps/2 = 0 and B_rho0 contributes exactly 0.
+    The signed crossing sum of the module docstring, one side at a time.
+    Upper and lower E differ only on eps*Z, which a strictly monotone piece
+    meets at single points, so the ball does not depend on the envelope.
     """
     if _scalar(phi.d1, x) == 0.0:
         raise DegenerateGradientError("probe gradient vanishes at x")
@@ -276,31 +282,17 @@ def _paired_ball(phi: TestFunction, x: float, pot: Potential, rho: float,
     def g_left(r):
         return np.asarray(phi.f(x - np.asarray(r)), dtype=float) - f0
 
-    cr_r, bounds_r = _side_crossings(
+    r_right, s_right = _side_crossings(
         g_right, lambda r: phi.d1(x + np.asarray(r)), 0.0, rho, eps,
         crit=crit_right, inverse=inverse_right)
-    cr_l, bounds_l = _side_crossings(
+    r_left, s_left = _side_crossings(
         g_left, lambda r: -np.asarray(phi.d1(x - np.asarray(r)), dtype=float),
         0.0, rho, eps, crit=crit_left, inverse=inverse_left)
-    crossings = np.concatenate([cr_r, cr_l])
-    rho0 = float(crossings.min(initial=rho))
-    if rho0 >= rho:
-        return 0.0, rho
-    radii = np.concatenate([crossings, bounds_r, bounds_l])
-    radii = radii[(radii > rho0) & (radii < rho)]
-    grid = np.unique(np.concatenate([[rho0], radii, [rho]]))
-    mids = 0.5 * (grid[:-1] + grid[1:])
-    e_sum = (staircase_identity(g_right(mids), eps, envelope)
-             + staircase_identity(g_left(mids), eps, envelope))
-    vp = _vp(pot, alpha, grid)
-    # summation by parts: sum e_j (vp_{j+1} - vp_j) differences the E-levels
-    # (exact multiples of eps) instead of the large kernel antiderivative,
-    # avoiding a cancellation floor when the rescaled kernel is steep
-    pieces = [e_sum[-1] * vp[-1], -e_sum[0] * vp[0]]
-    if len(e_sum) > 1:
-        de = np.diff(e_sum)
-        pieces.extend((-de * vp[1:-1]).tolist())
-    return float(math.fsum(pieces)), rho0
+    rho0 = min(r_right.min(initial=rho), r_left.min(initial=rho))
+    # one sum per side: the two sides of an odd increment cancel exactly
+    ball = (_crossing_sum(pot, alpha, eps, r_right, s_right, rho)
+            + _crossing_sum(pot, alpha, eps, r_left, s_left, rho))
+    return ball, float(rho0)
 
 
 def _far_pieces(far, x: float, rho: float, side: int):
@@ -341,13 +333,13 @@ def _tail_quantized(far, x: float, pot: Potential, rho: float, eps: float,
         smooth, bounds, incr = _far_pieces(far, x, rho, side)
         if smooth is not None:
             g, dg, r_hi = smooth
-            cr, bnds = _side_crossings(g, dg, rho, r_hi, eps)
-            grid = np.unique(np.concatenate(
-                [[rho], cr[(cr > rho) & (cr < r_hi)], np.asarray(bnds), [r_hi]]))
-            mids = 0.5 * (grid[:-1] + grid[1:])
-            e = staircase_identity(g(mids), eps, envelope)
-            vp = _vp(pot, alpha, grid)
-            total += float(np.sum(e * np.diff(vp)))
+            radii, signs = _side_crossings(g, dg, rho, r_hi, eps)
+            # E on (rho, first crossing), then its steps at the crossings
+            mid = 0.5 * (rho + radii.min(initial=r_hi))
+            e0 = staircase_identity(_scalar(g, mid), eps, envelope)
+            vp = _vp(pot, alpha, [rho, r_hi])
+            total += (e0 * float(vp[1] - vp[0])
+                      + _crossing_sum(pot, alpha, eps, radii, signs, r_hi))
         e = staircase_identity(incr, eps, envelope)
         total += float(np.sum(e * np.diff(_vp(pot, alpha, bounds))))
     return total
@@ -361,9 +353,11 @@ def quantized_nonlocal(phi: TestFunction, farfield, x: float, pot: Potential,
     Requires phi'(x) != 0.  ``parts=True`` also returns the ball and tail
     contributions and the core radius rho0, the first crossing of the levels
     eps*Z by the increment on either side of x (rho if there is none).
+    ``envelope`` picks the upper or lower E on eps*Z for the far field only;
+    the ball does not depend on it.
     """
     ball, rho0 = _paired_ball(phi, x, pot, params.rho, params.eps,
-                              params.alpha_eps, envelope)
+                              params.alpha_eps)
     tail = _tail_quantized(farfield, x, pot, params.rho, params.eps,
                            params.alpha_eps, envelope)
     if parts:
@@ -468,8 +462,7 @@ def rhs_convergence_table(phi: TestFunction, x: float, m: int, pot: Potential,
     rows = []
     for eps in eps_list:
         params = HamiltonianParams(rho=rho, eps=float(eps),
-                                   alpha_eps=regime.alpha_of_eps(float(eps)),
-                                   quad_tol=quad_tol)
+                                   alpha_eps=regime.alpha_of_eps(float(eps)))
         val = quantized_nonlocal(phi, far, x, pot, params)
         rows.append((float(eps), float(val), float(abs(val - limit))))
     return rows, float(limit)
@@ -496,10 +489,12 @@ def _quartic_inverses(K: float, gamma: float):
 
 
 def quartic_probe_value(pot: Potential, K: float, gamma: float, eps: float,
-                        alpha_eps: float, envelope: str = "upper") -> float:
+                        alpha_eps: float) -> float:
     """gamma^2 * pv int_{B_1} E_eps[K((z+gamma)^4 - gamma^4)] V_alpha'' dz."""
     if not K > 0:
         raise ValueError("the probe needs K > 0")
+    if not all(math.isfinite(v) and v > 0 for v in (eps, alpha_eps)):
+        raise ValueError("the probe needs finite eps > 0 and alpha_eps > 0")
     if gamma == 0.0:
         raise DegenerateGradientError("probe gradient vanishes at gamma = 0")
     phi = TestFunction.shifted_quartic(K, gamma)
@@ -507,7 +502,7 @@ def quartic_probe_value(pot: Potential, K: float, gamma: float, eps: float,
     # the increment's only critical offset is z = -gamma
     crit_r = [-gamma] if gamma < 0 else []
     crit_l = [gamma] if gamma > 0 else []
-    ball, _ = _paired_ball(phi, 0.0, pot, 1.0, eps, alpha_eps, envelope,
+    ball, _ = _paired_ball(phi, 0.0, pot, 1.0, eps, alpha_eps,
                            inverse_right=inv_r, inverse_left=inv_l,
                            crit_right=crit_r, crit_left=crit_l)
     return gamma ** 2 * ball
@@ -515,7 +510,7 @@ def quartic_probe_value(pot: Potential, K: float, gamma: float, eps: float,
 
 def quartic_probe_sweep(pot: Potential, regime: ScalingRegime, K: float,
                         L: float, eps_grid, gamma_grid,
-                        quad_tol: float = 1e-9, envelope: str = "upper"):
+                        quad_tol: float = 1e-9):
     """Sweep the degenerate-gradient bound over (eps, gamma).
 
     Returns (rows, per_eps_max) with rows of (eps, gamma, value); every value
@@ -529,15 +524,15 @@ def quartic_probe_sweep(pot: Potential, regime: ScalingRegime, K: float,
         raise ValueError("gamma grid must stay within [-L, L]")
     if np.any(gammas == 0.0):
         raise DegenerateGradientError("probe gradient vanishes at gamma = 0")
+    eps_grid = [float(eps) for eps in eps_grid]
+    alphas = [regime.alpha_of_eps(eps) for eps in eps_grid]  # raises before any probe
     rows = []
     per_eps_max = {}
-    for eps in eps_grid:
-        alpha_eps = regime.alpha_of_eps(float(eps))
+    for eps, alpha_eps in zip(eps_grid, alphas):
         worst = 0.0
         for gamma in gammas:
-            val = quartic_probe_value(pot, K, float(gamma), float(eps),
-                                      alpha_eps, envelope)
-            rows.append((float(eps), float(gamma), float(val)))
+            val = quartic_probe_value(pot, K, float(gamma), eps, alpha_eps)
+            rows.append((eps, float(gamma), float(val)))
             worst = max(worst, val)
-        per_eps_max[float(eps)] = worst
+        per_eps_max[eps] = worst
     return rows, per_eps_max

@@ -345,6 +345,8 @@ def solve_limit_equation(cfg: ExperimentConfig, m: int | None = None,
 
     The grid is ``cfg.grid``; ``m`` defaults to the config's regime, and
     m = 1 selects the nonlocal solver.  Returns (GridFunction, SolveInfo).
+    Raises DataError when the density's support leaves the grid: the end
+    values are held fixed, so the solve could not carry that mass.
     """
     pot, reg, fld = cfg.build()
     m = reg.m if m is None else m
@@ -353,6 +355,10 @@ def solve_limit_equation(cfg: ExperimentConfig, m: int | None = None,
     xs = np.linspace(-half, half, int(cfg.grid["nodes"]))
     u0 = GridFunction(-half, xs[1] - xs[0], dens.primitive(xs),
                       0.0, float(dens.primitive(np.array([half + 1.0]))[0]))
+    if not u0.check_farfield():
+        lo, hi = dens.support()
+        raise DataError(f"density support [{lo:g}, {hi:g}] does not fit the "
+                        f"grid [{-half:g}, {half:g}]; widen grid.half_width")
     if m == 1:
         return solve_nonlocal(u0, pot, reg.alpha, fld, cfg.t_end,
                               rho=float(cfg.grid.get("rho", 0.5)),

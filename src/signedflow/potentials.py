@@ -331,6 +331,8 @@ class ScalingRegime:
         the smooth drift term dominant over the step-quantization residue,
         so resolution sweeps shrink monotonically.
         """
+        if not (math.isfinite(eps) and eps > 0):
+            raise ValueError(f"eps must be finite and positive, got {eps!r}")
         if self.m == 1:
             return self.alpha * (1.0 + math.sqrt(eps))
         if self.m == 2:

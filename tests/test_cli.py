@@ -117,6 +117,15 @@ def test_pde_subcommand_rejects_non_finite_grid(tmp_path, capsys, m):
     assert "must be finite" in capsys.readouterr().err
 
 
+def test_pde_subcommand_rejects_density_off_the_grid(tmp_path, capsys):
+    cfg = _write_cfg(tmp_path, {
+        "initial": {"kind": "density", "components": [
+            {"sign": 1, "mass": 1.0, "center": 2.0, "width": 1.0}]},
+        "grid": {"half_width": 2.5, "nodes": 160, "rho": 0.5}})
+    assert main(["pde", "--config", str(cfg)]) == 1
+    assert "does not fit the grid" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("argv", [["pde", "--m", "1"], ["pde", "--m", "2"],
                                   ["converge"]], ids=["pde-m1", "pde-m2", "converge"])
 def test_subcommands_reject_single_node_grid(tmp_path, capsys, argv):

@@ -11,7 +11,7 @@ from signedflow import (ClampedProbe, DegenerateGradientError,
                         kernel_second_moment, limiting_rhs, log_potential,
                         quantized_nonlocal, quartic_probe_sweep,
                         quartic_probe_value, rhs_convergence_table,
-                        wall_potential)
+                        staircase_identity, wall_potential)
 from signedflow import hamiltonians
 
 PI2_3 = math.pi ** 2 / 3.0
@@ -35,6 +35,15 @@ def test_linear_probe_ball_exact_zero():
     assert abs(parts["tail"]) <= params.eps * vp1 + 1e-15
 
 
+@pytest.mark.parametrize("eps", [1e-2, 3e-3, 7e-4, 3e-5])
+@pytest.mark.parametrize("slope", [0.7, 3.3])
+def test_linear_probe_sides_cancel_bitwise(slope, eps):
+    # both sides' crossing sums take the same radii in the same order
+    ball, _ = hamiltonians._paired_ball(TestFunction.linear(slope), 0.0, LOGP,
+                                        1.0, eps, 1.0)
+    assert ball == 0.0
+
+
 def test_envelope_average_cancels_zero_increments():
     phi = TestFunction.linear(1.0)
     params = HamiltonianParams(rho=1.0, eps=1e-4, alpha_eps=1.0)
@@ -49,9 +58,90 @@ def test_envelope_difference_bounded():
     params = HamiltonianParams(rho=1.0, eps=1e-2, alpha_eps=1.0)
     far = ClampedProbe(phi, 0.3, 1.0)
     up, pu = quantized_nonlocal(phi, far, 0.3, LOGP, params, "upper", parts=True)
-    lo = quantized_nonlocal(phi, far, 0.3, LOGP, params, "lower")
+    lo, pl = quantized_nonlocal(phi, far, 0.3, LOGP, params, "lower", parts=True)
     bound = params.eps * abs(LOGP.deriv(max(pu["rho0"], 1e-12), 1))
     assert abs(up - lo) <= bound + 1e-12
+    # the ball's increment meets eps*Z at single points only
+    assert pu["ball"] == pl["ball"]
+
+
+def _reference_ball(phi, x, pot, rho, eps, alpha, envelope="upper",
+                    inverse_right=None, inverse_left=None,
+                    crit_right=None, crit_left=None):
+    """The ball as first written: both sides' crossings and piece bounds
+    merged into one grid, E summed over both sides at every midpoint, and
+    the sum taken by parts with math.fsum."""
+    f0 = float(phi.f(np.array([x]))[0])
+    sides = []
+    for side, inverse, crit in ((1, inverse_right, crit_right),
+                                (-1, inverse_left, crit_left)):
+        def g(r, side=side):
+            return np.asarray(phi.f(x + side * np.asarray(r)), dtype=float) - f0
+
+        def dg(r, side=side):
+            return side * np.asarray(phi.d1(x + side * np.asarray(r)), dtype=float)
+
+        if crit is None:
+            crit = hamiltonians._critical_radii(dg, 0.0, rho)
+        radii, _ = hamiltonians._side_crossings(g, dg, 0.0, rho, eps,
+                                                crit=crit, inverse=inverse)
+        sides.append((g, radii, [c for c in crit if 0.0 < c < rho]))
+    crossings = np.concatenate([radii for _, radii, _ in sides])
+    rho0 = float(crossings.min(initial=rho))
+    if rho0 >= rho:
+        return 0.0
+    radii = np.concatenate([crossings] + [np.asarray(b, dtype=float)
+                                          for _, _, b in sides])
+    radii = radii[(radii > rho0) & (radii < rho)]
+    grid = np.unique(np.concatenate([[rho0], radii, [rho]]))
+    mids = 0.5 * (grid[:-1] + grid[1:])
+    e_sum = sum(staircase_identity(g(mids), eps, envelope) for g, _, _ in sides)
+    vp = hamiltonians._vp(pot, alpha, grid)
+    pieces = [e_sum[-1] * vp[-1], -e_sum[0] * vp[0]]
+    pieces.extend((-np.diff(e_sum) * vp[1:-1]).tolist())
+    return math.fsum(pieces)
+
+
+_BALL_KERNELS = {
+    "log": (LOGP, lambda eps: 1.0),
+    "wall m2": (WALL, ScalingRegime(m=2).alpha_of_eps),
+    "wall m3": (WALL, ScalingRegime(m=3, beta=1.0).alpha_of_eps),
+}
+
+
+@pytest.mark.parametrize("eps", [1e-2, 1e-3, 1e-4])
+@pytest.mark.parametrize("kernel", list(_BALL_KERNELS))
+@pytest.mark.parametrize("probe, x", [("sin", 0.3), ("cubic", -0.7)])
+def test_crossing_sum_matches_merged_grid(probe, x, kernel, eps):
+    phi = getattr(TestFunction, probe)()
+    pot, alpha_of_eps = _BALL_KERNELS[kernel]
+    alpha = alpha_of_eps(eps)
+    ball, _ = hamiltonians._paired_ball(phi, x, pot, 1.0, eps, alpha)
+    ref = _reference_ball(phi, x, pot, 1.0, eps, alpha)
+    assert ball == pytest.approx(ref, rel=1e-10)
+
+
+@pytest.mark.parametrize("eps", [1e-2, 1e-3, 1e-4])
+@pytest.mark.parametrize("gamma", [2.0, -2.0])
+def test_quartic_probe_matches_merged_grid(gamma, eps):
+    K = 2.0
+    alpha = ScalingRegime(m=3, beta=1.0).alpha_of_eps(eps)
+    inv_r, inv_l = hamiltonians._quartic_inverses(K, gamma)
+    ref = _reference_ball(TestFunction.shifted_quartic(K, gamma), 0.0, WALL,
+                          1.0, eps, alpha, inverse_right=inv_r,
+                          inverse_left=inv_l,
+                          crit_right=[-gamma] if gamma < 0 else [],
+                          crit_left=[gamma] if gamma > 0 else [])
+    val = quartic_probe_value(WALL, K, gamma, eps, alpha)
+    assert val == pytest.approx(gamma ** 2 * ref, rel=1e-10)
+
+
+@pytest.mark.parametrize("field", ["rho", "eps", "alpha_eps"])
+@pytest.mark.parametrize("bad", [0.0, -1.0, math.nan, math.inf])
+def test_params_reject_nonpositive_or_non_finite(field, bad):
+    kwargs = {"rho": 1.0, "eps": 1e-2, "alpha_eps": 1.0, field: bad}
+    with pytest.raises(ValueError):
+        HamiltonianParams(**kwargs)
 
 
 def test_degenerate_gradient_raises():
@@ -256,7 +346,7 @@ def test_quartic_probe_matches_generic_path(gamma):
     K, eps = 2.0, 1e-3
     fast = quartic_probe_value(WALL, K, gamma, eps, 5.0)
     phi = TF.shifted_quartic(K, gamma)
-    ball, _ = _paired_ball(phi, 0.0, WALL, 1.0, eps, 5.0, "upper")
+    ball, _ = _paired_ball(phi, 0.0, WALL, 1.0, eps, 5.0)
     assert fast == pytest.approx(gamma ** 2 * ball, rel=1e-9)
 
 
@@ -282,22 +372,36 @@ def test_quartic_probe_rejects_nonpositive_K(K):
         quartic_probe_value(LOGP, K, 0.5, 1e-2, 1.0)
 
 
-@pytest.mark.parametrize("K, L, gammas, err", [
-    (-1.0, 2.0, [0.5], ValueError),
-    (0.0, 2.0, [0.5], ValueError),
-    (2.0, 0.0, [0.5], ValueError),
-    (2.0, 1.0, [0.5, 1.5], ValueError),
-    (2.0, 1.0, [0.5, math.nan], ValueError),
-    (2.0, 2.0, [0.5, 0.0], DegenerateGradientError),
-], ids=["K<0", "K=0", "L=0", "gamma>L", "gamma-nan", "gamma=0"])
+@pytest.mark.parametrize("eps, alpha", [
+    (-1e-2, 1.0), (0.0, 1.0), (math.nan, 1.0), (math.inf, 1.0),
+    (1e-2, -1.0), (1e-2, 0.0), (1e-2, math.nan),
+], ids=["eps<0", "eps=0", "eps-nan", "eps-inf", "alpha<0", "alpha=0",
+        "alpha-nan"])
+def test_quartic_probe_rejects_bad_resolution(eps, alpha):
+    with pytest.raises(ValueError):
+        quartic_probe_value(LOGP, 2.0, 0.5, eps, alpha)
+
+
+@pytest.mark.parametrize("K, L, gammas, eps_grid, err", [
+    (-1.0, 2.0, [0.5], [1e-1, 1e-2], ValueError),
+    (0.0, 2.0, [0.5], [1e-1, 1e-2], ValueError),
+    (2.0, 0.0, [0.5], [1e-1, 1e-2], ValueError),
+    (2.0, 1.0, [0.5, 1.5], [1e-1, 1e-2], ValueError),
+    (2.0, 1.0, [0.5, math.nan], [1e-1, 1e-2], ValueError),
+    (2.0, 2.0, [0.5, 0.0], [1e-1, 1e-2], DegenerateGradientError),
+    (2.0, 2.0, [0.5], [1e-1, 0.0], ValueError),
+    (2.0, 2.0, [0.5], [1e-1, -1e-2], ValueError),
+    (2.0, 2.0, [0.5], [1e-1, math.nan], ValueError),
+], ids=["K<0", "K=0", "L=0", "gamma>L", "gamma-nan", "gamma=0", "eps=0",
+        "eps<0", "eps-nan"])
 def test_quartic_sweep_checks_inputs_before_any_probe(monkeypatch, K, L,
-                                                      gammas, err):
+                                                      gammas, eps_grid, err):
     calls = []
     monkeypatch.setattr(hamiltonians, "quartic_probe_value",
                         lambda *args: calls.append(args) or 0.0)
     with pytest.raises(err):
         quartic_probe_sweep(LOGP, ScalingRegime(m=1, alpha=1.0), K, L,
-                            [1e-1, 1e-2], gammas)
+                            eps_grid, gammas)
     assert calls == []
 
 

@@ -147,6 +147,16 @@ def test_two_node_grid_solves():
     assert out.n == 2 and info.steps == 1
 
 
+def test_limit_solve_rejects_density_off_the_grid():
+    # support [1, 3] on a grid ending at 2.5: the fixed end value would hold
+    # 0.896 of the unit mass against a far field of 1
+    d = _cfg_dict()
+    d["initial"]["components"][0]["center"] = 2.0
+    d["grid"] = {"half_width": 2.5, "nodes": 192, "rho": 0.5}
+    with pytest.raises(DataError, match=r"support \[1, 3\].*grid \[-2.5, 2.5\]"):
+        harness.solve_limit_equation(ExperimentConfig.from_dict(d))
+
+
 # ---------------------------------------------------------------------------
 # quartic envelopes
 # ---------------------------------------------------------------------------
