@@ -89,6 +89,9 @@ def _cmd_converge(args) -> int:
     if args.csv:
         with open(args.csv, "w") as fh:
             fh.write(convergence_csv(report) + "\n")
+    if args.stats:
+        with open(args.stats, "w") as fh:
+            json.dump(report["stats"], fh, indent=2)
     for row in report["rows"]:
         print(f"n={row['n']:5d} t={row['t']:<6g} distance={row['distance']:.5f}")
     print("PASS" if report["passed"] else "FAIL: " + "; ".join(report["notes"]))
@@ -192,6 +195,7 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--config", required=True)
     s.add_argument("--out", help="report JSON path")
     s.add_argument("--csv", help="distance table CSV path")
+    s.add_argument("--stats", help="step statistics JSON path, one entry per n")
     s.set_defaults(fn=_cmd_converge)
 
     s = sub.add_parser("check-potential", help="audit an assumption ledger")

@@ -9,10 +9,24 @@ with pair force f = -V_alpha' and external force g = -U'.  Neutral particles
 meet, adjacent opposite pairs are removed (charges set to 0) sequentially,
 leftmost first, and the removed particles stay pinned at the collision point.
 
-Between events the trajectory is advanced by an embedded Bogacki-Shampine
-3(2) pair with PI step control.  Close to a collision the shrinking gap d of
-an opposite pair follows d^(2+a) affine in t (a = singularity exponent of the
-force), which both caps the step size and extrapolates the collision time.
+Between events the trajectory is advanced by an embedded Runge-Kutta pair,
+chosen per segment (the stretch between two events): the Dormand-Prince 5(4)
+pair while the segment holds an opposite-sign neighbour pair, which may
+collide and whose steps are set by accuracy, and the Bogacki-Shampine 3(2)
+pair on a single-sign segment, whose steps are set by the stiffness of the
+repulsion, where the lower order costs fewer evaluations.  Both are
+first-same-as-last.  The step after an attempt with error norm err is
+0.9 err^(-1/q) times the last one, clipped to [0.2, 5], with q the order of
+the pair's error estimate plus one.
+
+Close to a collision the shrinking gap d of an opposite pair follows
+d^(2+a) affine in t (a = singularity exponent of the force).  The fit of
+d^(2+a) through the last two commits gives each closing pair its time to
+contact, d^(2+a) over the rate at which it shrinks.  GAP_FACTOR times the
+least of them caps the next step; a segment's first step, before there is a
+rate, is capped at GAP_FACTOR d^(2+a).  Once a closing pair's gap is under
+the trigger radius, or its cap under H_COLLISION_FLOOR, its extrapolated
+contact time is the collision time (``_event_radii``).
 
 For potentials with exponential tails (``tail_class == "exponential"``) the
 pair sweep of ``simulate`` is banded: it keeps the pairs of charged
@@ -186,12 +200,32 @@ class Diagnostics:
 
 
 # fixed event and step-ceiling parameters of ``simulate``
-GAP_FACTOR = 0.2            # step ceiling h <= GAP_FACTOR * d^(2+a)
+GAP_FACTOR = 0.2            # step ceiling h <= GAP_FACTOR * time to contact
 COLLISION_RADIUS = 1e-5     # smallest trigger radius
 CLUSTER_FACTOR = 8.0        # cluster radius = factor * trigger radius
 H_COLLISION_FLOOR = 1e-13   # smallest gap-capped step before an event fires
 SPACING_TOL = 1e-12         # least charged spacing after an event
 MAX_STEPS = 2_000_000       # step attempts per run
+
+# embedded pairs of ``simulate``: (stage rows, weights, error weights, q).
+# Row s gives stage s + 1 from the stages before it; the weights give the
+# step, and the error weights (solution minus embedded weights) the error
+# estimate, whose last entry is for the first stage of the next step; q is
+# the order of the error estimate plus one.  Tuples of floats, so that
+# importing the module builds no array.
+_BS3 = (((0.5,), (0.0, 0.75)),
+        (2 / 9, 1 / 3, 4 / 9),
+        (-5 / 72, 1 / 12, 1 / 9, -1 / 8),
+        3)
+_DP5 = (((1 / 5,),
+         (3 / 40, 9 / 40),
+         (44 / 45, -56 / 15, 32 / 9),
+         (19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729),
+         (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656)),
+        (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84),
+        (71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525,
+         -1 / 40),
+        5)
 
 
 @dataclass(frozen=True)
@@ -218,10 +252,18 @@ class IntegratorOptions:
 def _event_radii(exponent: float):
     """(trigger radius, cluster radius) of events at singularity exponent a.
 
-    An event fires once an opposite gap is under the trigger radius.  It is
-    at least COLLISION_RADIUS, and larger when the step ceiling
-    GAP_FACTOR * d^(2+a) would fall below H_COLLISION_FLOOR first, which
-    happens for strong singularities (large a).
+    ``simulate`` caps a step at GAP_FACTOR t_c, with t_c = d^p / c the time
+    to contact of a closing opposite pair, p = 2 + a and c the rate at which
+    d^p shrinks, taken from the last two commits.  The trigger radius is
+    max(COLLISION_RADIUS, r_time), with r_time = (H_COLLISION_FLOOR /
+    GAP_FACTOR)^(1/p) the gap at which the cap falls to H_COLLISION_FLOOR
+    at unit rate; it exceeds COLLISION_RADIUS for strong singularities
+    (large a).  A pair closing at c <= 1 has t_c >= d^p, so its cap stays
+    at or above the floor while its gap is above the trigger radius.  A
+    faster pair reaches the floor at the larger gap (c H_COLLISION_FLOOR /
+    GAP_FACTOR)^(1/p), so ``_extrapolate_event`` also fires a pair once
+    GAP_FACTOR t_c falls below H_COLLISION_FLOOR: whatever c is, no cap
+    before the trigger is below the floor.
     """
     r_time = (H_COLLISION_FLOOR / GAP_FACTOR) ** (1.0 / (2.0 + exponent))
     r_trig = max(COLLISION_RADIUS, r_time)
@@ -338,11 +380,16 @@ def detect_collision(state: ParticleState, prev_state: ParticleState,
     idx = state.charged_indices
     bc = state.b[idx]
     opp = np.flatnonzero(bc[:-1] * bc[1:] < 0)
+    if state.t <= prev_state.t or not len(opp):
+        return None
     gaps = np.diff(state.x[idx])
-    prev_opp = np.diff(prev_state.x[idx])[opp]
     p = 2.0 + exponent
-    hit = _extrapolate_event(opp, idx, gaps, prev_opp, state.t,
-                             prev_state.t, p, *_event_radii(exponent))
+    with np.errstate(**_KERNEL_ERRSTATE):
+        contact = _contact_times(gaps[opp] ** p,
+                                 np.diff(prev_state.x[idx])[opp] ** p,
+                                 state.t - prev_state.t)
+    hit = _extrapolate_event(opp, idx, gaps, contact, state.t,
+                             *_event_radii(exponent))
     if hit is None:
         return None
     tau, clusters = hit
@@ -656,12 +703,17 @@ def simulate(state0: ParticleState, pot: Potential, alpha: float,
     with np.errstate(**_KERNEL_ERRSTATE):
         while True:
             seg = _Segment(x, b, pot, alpha, field, diag, radius)
+            rows, weights, err_weights, q = _DP5 if len(seg.opp) else _BS3
+            rows = [np.array(r) for r in rows]
+            weights, err_weights = np.array(weights), np.array(err_weights)
+            # the stages of one attempt, the last one at the trial point
+            ks = np.empty((len(err_weights), seg.m))
             xc = seg.xc
             gaps = _gaps(xc)
-            k1 = seg.rhs(xc)
+            ks[0] = seg.rhs(xc)
             stats["force_evals"] += 1
             h = opts.h_init
-            t_prev, prev_opp_gaps = t, None
+            t_prev, prev_dp = t, None
             event = None
             while True:
                 # commit (t, xc), the segment start or an accepted step: one
@@ -670,20 +722,27 @@ def simulate(state0: ParticleState, pot: Potential, alpha: float,
                 seg.record(t, xc, gaps)
                 opp_gaps = gaps[seg.opp]
                 d_min = float(opp_gaps.min()) if len(opp_gaps) else np.inf
-                h_cap = GAP_FACTOR * d_min ** p
+                dp = opp_gaps ** p
+                if prev_dp is None or not len(dp):
+                    # no rate before the first step: take it as 1; no cap
+                    # without an opposite pair (d_min is inf)
+                    h_cap = GAP_FACTOR * d_min ** p
+                else:
+                    contact = _contact_times(dp, prev_dp, t - t_prev)
+                    h_cap = GAP_FACTOR * float(contact.min(initial=np.inf))
+                    if d_min < r_trig or h_cap < H_COLLISION_FLOOR:
+                        event = _extrapolate_event(seg.opp, seg.idx, gaps,
+                                                   contact, t, r_trig,
+                                                   r_cluster)
                 scale = opts.rk_tol * (1.0 + np.abs(xc))
-                if d_min < r_trig:
-                    event = _extrapolate_event(seg.opp, seg.idx, gaps,
-                                               prev_opp_gaps, t, t_prev, p,
-                                               r_trig, r_cluster)
-                t_prev, prev_opp_gaps = t, opp_gaps
+                t_prev, prev_dp = t, dp
                 for tv in _pop_due(eval_queue, t, 1e-12 * max(1.0, abs(t))):
                     snapshots.append(seg.state(tv, xc))
                 if event is not None or t >= t_end - 1e-300:
                     break
 
                 while True:
-                    # one Bogacki-Shampine 3(2) attempt, first-same-as-last
+                    # one attempt of the segment's pair, first-same-as-last
                     if stats["accepted"] + stats["rejected"] >= MAX_STEPS:
                         raise StiffnessError("step budget exhausted",
                                              {"t": t, "n_charged": seg.m})
@@ -701,18 +760,17 @@ def simulate(state0: ParticleState, pot: Potential, alpha: float,
                             stats["snapshot_capped"] += 1
                         elif h == t_end - t:
                             stats["end_capped"] += 1
-                    k2 = seg.rhs(xc + 0.5 * h * k1)
-                    k3 = seg.rhs(xc + 0.75 * h * k2)
-                    stats["force_evals"] += 2
-                    x_new = xc + h * (2.0 * k1 + 3.0 * k2 + 4.0 * k3) / 9.0
+                    for s, row in enumerate(rows, 1):
+                        ks[s] = seg.rhs(xc + h * (row @ ks[:s]))
+                    stats["force_evals"] += len(rows)
+                    x_new = xc + h * (weights @ ks[:len(weights)])
                     new_gaps = _gaps(x_new)
                     err_norm = np.inf
                     # a nan gap fails the test, like a non-positive one
                     if seg.m < 2 or new_gaps.min() > 0:
-                        k4 = seg.rhs(x_new)
+                        ks[-1] = seg.rhs(x_new)
                         stats["force_evals"] += 1
-                        err = h * np.abs(-5.0 / 72.0 * k1 + k2 / 12.0
-                                         + k3 / 9.0 - k4 / 8.0)
+                        err = h * np.abs(err_weights @ ks)
                         err_norm = float((err / scale).max()) if seg.m else 0.0
                         if not math.isfinite(err_norm):
                             err_norm = np.inf
@@ -723,12 +781,13 @@ def simulate(state0: ParticleState, pot: Potential, alpha: float,
                         raise StiffnessError(
                             f"step underflow at t={t:.6g} without a collision",
                             {"t": t, "h": h, "min_opposite_gap": d_min})
-                    h = max(h * max(0.2, 0.9 * err_norm ** (-1.0 / 3.0)), opts.h_min)
+                    h = max(h * max(0.2, 0.9 * err_norm ** (-1.0 / q)), opts.h_min)
 
                 stats["accepted"] += 1
                 t = t + h
-                xc, gaps, k1 = x_new, new_gaps, k4
-                h = h * min(5.0, max(0.2, 0.9 * (err_norm + 1e-16) ** (-1.0 / 3.0)))
+                xc, gaps = x_new, new_gaps
+                ks[0] = ks[-1]
+                h = h * min(5.0, max(0.2, 0.9 * (err_norm + 1e-16) ** (-1.0 / q)))
 
             seg.flush()
             stats["pair_evals"] += seg.pair_evals
@@ -752,26 +811,34 @@ def _pop_due(queue, t, tol):
     return due
 
 
-def _extrapolate_event(opp, idx, gaps, prev_opp_gaps, t, t_prev, p,
-                       r_trig, r_cluster):
-    """Fit d^p affine through the last two gap samples of triggered pairs.
+def _contact_times(dp, prev_dp, dt):
+    """Time to contact of each opposite pair: d^p over the rate at which it
+    shrinks, from d^p affine in t through two commits dt > 0 apart that give
+    ``prev_dp`` and ``dp``; inf where d^p does not shrink.  Runs under the
+    caller's ``np.errstate(**_KERNEL_ERRSTATE)``: a zero rate divides by 0."""
+    rates = (prev_dp - dp) / dt
+    return np.where(rates > 0, dp / rates, np.inf)
+
+
+def _extrapolate_event(opp, idx, gaps, contact, t, r_trig, r_cluster):
+    """Collision time and clusters of the closing opposite pairs whose gap
+    is under the trigger radius or whose gap cap GAP_FACTOR t_c is under
+    H_COLLISION_FLOOR (see ``_event_radii``).
 
     ``opp`` holds the opposite-sign neighbor slots among the charged
     particles ``idx`` (global indices, in spatial order); ``gaps`` are their
-    current neighbor gaps.
+    neighbor gaps at time t and ``contact`` the opposite pairs' times to
+    contact (``_contact_times``).
     """
     opp_gaps = gaps[opp]
-    if t <= t_prev or not len(opp_gaps) or len(prev_opp_gaps) != len(opp_gaps):
-        return None
-    under = opp_gaps < r_trig
-    if not np.any(under):
-        return None
-    slopes = (opp_gaps ** p - prev_opp_gaps ** p) / (t - t_prev)
-    closing = under & (slopes < 0)
+    closing = (((opp_gaps < r_trig)
+                | (GAP_FACTOR * contact < H_COLLISION_FLOOR))
+               & (contact < np.inf))
     if not np.any(closing):
         return None
-    taus = t + opp_gaps[closing] ** p / (-slopes[closing])
-    tau = float(np.min(taus))
+    tau = t + float(contact[closing].min())
+    # a pair fired by its closing rate may be wider than the trigger radius
+    r_cluster = max(r_cluster, CLUSTER_FACTOR * float(opp_gaps[closing].max()))
     # clusters: chains of charged neighbors within r_cluster holding a
     # triggered pair; fired_left holds left neighbor-slot indices
     fired_left = set(int(v) for v in opp[closing])

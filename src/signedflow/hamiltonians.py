@@ -146,11 +146,16 @@ class ClampedProbe:
 # ---------------------------------------------------------------------------
 
 def _vp(pot: Potential, alpha: float, z):
-    """V_alpha'(z) = alpha^2 V'(alpha z), odd in z; vanishes at +-inf."""
-    z = np.atleast_1d(np.asarray(z, dtype=float))
-    out = np.zeros_like(z)
-    fin = np.isfinite(z)
-    out[fin] = alpha ** 2 * pot.deriv(alpha * z[fin], 1)
+    """V_alpha'(z) = alpha^2 V'(alpha z) at finite z, odd in z."""
+    return alpha ** 2 * pot.deriv(alpha * np.asarray(z, dtype=float), 1)
+
+
+def _vp_bounds(pot: Potential, alpha: float, bounds):
+    """``_vp`` at the bounds of far-field pieces, 0 at an infinite bound,
+    where V_alpha' vanishes: a custom potential need not return 0 there."""
+    out = np.zeros(len(bounds))
+    fin = np.isfinite(bounds)
+    out[fin] = _vp(pot, alpha, bounds[fin])
     return out
 
 
@@ -341,7 +346,7 @@ def _tail_quantized(far, x: float, pot: Potential, rho: float, eps: float,
             total += (e0 * float(vp[1] - vp[0])
                       + _crossing_sum(pot, alpha, eps, radii, signs, r_hi))
         e = staircase_identity(incr, eps, envelope)
-        total += float(np.sum(e * np.diff(_vp(pot, alpha, bounds))))
+        total += float(np.sum(e * np.diff(_vp_bounds(pot, alpha, bounds))))
     return total
 
 
@@ -403,7 +408,7 @@ def _tail_raw(far, x: float, pot: Potential, rho: float, alpha: float,
                 lambda r: _scalar(g, r) * alpha ** 3 * pot.deriv(alpha * r, 2),
                 rho, r_hi, epsabs=quad_tol, epsrel=1e-9, limit=400)
             total += val
-        total += float(np.sum(incr * np.diff(_vp(pot, alpha, bounds))))
+        total += float(np.sum(incr * np.diff(_vp_bounds(pot, alpha, bounds))))
     return total
 
 

@@ -374,7 +374,8 @@ def run_convergence(cfg: ExperimentConfig, progress=None) -> dict:
     The report contains (n, t, distance) rows and pass/fail flags:
     distances must be nonincreasing in n up to the configured slack, with
     the final distance below conv_tol, and every charged particle of every
-    snapshot must lie inside the comparison window.
+    snapshot must lie inside the comparison window.  ``stats`` holds each
+    run's ``SimulationResult.stats`` with its n and event count.
     """
     pot, reg, fld = cfg.build()
     dens = cfg.density()
@@ -386,6 +387,7 @@ def run_convergence(cfg: ExperimentConfig, progress=None) -> dict:
     opts = IntegratorOptions(rk_tol=tol["rk_tol"])
 
     rows = []
+    stats = []
     events_total = 0
     passed = True
     notes = []
@@ -394,6 +396,7 @@ def run_convergence(cfg: ExperimentConfig, progress=None) -> dict:
         res = simulate(st0, pot, reg.alpha_of(int(n)), fld,
                        cfg.t_end, opts, t_eval=cfg.snapshot_times)
         events_total += len(res.events)
+        stats.append({"n": int(n), "events": len(res.events), **res.stats})
         for (tk, uv), snap in zip(info.snapshots, res.snapshots):
             g = GridFunction(sol.x0, sol.dx, uv, sol.far_left, sol.far_right)
             d = sup_distance(cumulative_charge(snap), g, window)
@@ -425,6 +428,7 @@ def run_convergence(cfg: ExperimentConfig, progress=None) -> dict:
         "compliance": json.loads(audit_assumptions(pot, profile).to_json()),
         "rows": rows,
         "events_total": events_total,
+        "stats": stats,
         "passed": passed,
         "notes": notes,
     }

@@ -157,6 +157,17 @@ def test_converge_subcommand(tmp_path):
     assert csv.read_text().splitlines()[0] == "n,t,distance"
 
 
+def test_converge_writes_stats(tmp_path):
+    cfg = _write_cfg(tmp_path)
+    stats = tmp_path / "stats.json"
+    assert main(["converge", "--config", str(cfg), "--stats", str(stats)]) == 0
+    runs = json.loads(stats.read_text())
+    assert [r["n"] for r in runs] == [16, 32]
+    for r in runs:
+        assert r["events"] == 0 and r["accepted"] > 0
+        assert r["force_evals"] > r["accepted"] + r["rejected"]
+
+
 def test_hamiltonian_test_rhs(tmp_path):
     cfg = _write_cfg(tmp_path, {"potential": {"kind": "wall"},
                                 "regime": {"m": 3, "beta": 1.0}})

@@ -407,9 +407,14 @@ def test_simulation_stats_count_steps_and_evaluations():
     # diagnostics: one row at the start, per accepted step, per event batch
     assert s["accepted"] == len(res.diagnostics.t) - 1 - batches
     attempts = s["accepted"] + s["rejected"]
-    # three evaluations per attempt (two when the stage is unordered), plus
-    # one at the start of each segment between events
-    assert 2 * attempts + 1 + batches <= s["force_evals"] <= 3 * attempts + 1 + batches
+    # per attempt, six evaluations on a segment with an opposite pair and
+    # three on a single-sign one (one fewer when the trial point is
+    # unordered), plus one at the start of each segment between events
+    assert 2 * attempts + 1 + batches <= s["force_evals"] <= 6 * attempts + 1 + batches
+    signed = simulate(st, log_potential(), 1.0, None, 0.02).stats
+    assert signed["accepted"] > 0
+    a = signed["accepted"] + signed["rejected"]
+    assert 5 * a + 1 <= signed["force_evals"] <= 6 * a + 1
     # the run closes a pair, where the gap cap binds before error control;
     # its last step lands on t_end
     assert 0 < s["gap_capped"] <= attempts
@@ -423,12 +428,55 @@ def test_simulation_stats_count_steps_and_evaluations():
     like = simulate(ParticleState(0.0, st.x, [1, 1, 1, 1]), log_potential(),
                     1.0, None, 0.5).stats
     assert like["pair_evals"] == 6 * like["force_evals"] > 0
+    a = like["accepted"] + like["rejected"]
+    assert 2 * a + 1 <= like["force_evals"] <= 3 * a + 1
     assert s["force_evals"] <= s["pair_evals"] < 6 * s["force_evals"]
     # 40 wall charges at alpha = 40 span 80 / alpha: the band drops pairs
     wall = simulate(ParticleState(0.0, np.linspace(-1.0, 1.0, 40),
                                   np.ones(40, dtype=int)),
                     wall_potential(), 40.0, None, 0.01).stats
     assert 0 < wall["pair_evals"] < 780 * wall["force_evals"]
+
+
+def test_closing_pair_takes_few_steps():
+    # the gap cap follows the measured closing rate, and the 5(4) pair takes
+    # long steps where the cap does not bind
+    st = ParticleState(0.0, [-0.25, 0.25], [1, -1])
+    res = simulate(st, log_potential(), 1.0, None, 5.0)
+    assert len(res.events) == 1
+    assert res.stats["accepted"] <= 200
+
+
+# tau of the run below under the unit-rate cap h <= GAP_FACTOR d^p and the
+# Bogacki-Shampine pair, at rk_tol = 1e-12
+_THIRD_BODY_TAU = 0.020824120531018068
+
+
+def test_third_body_closing_keeps_tau():
+    # a third charge, like the right one of an opposite pair, repels it
+    # towards its partner and attracts the left one: the pair meets at 0.021
+    # instead of 0.03, so d^2 shrinks faster than at unit rate
+    st = ParticleState(0.0, [-0.1, 0.1, 0.3], [1, -1, -1])
+    res = simulate(st, log_potential(), 1.0, None, 0.05,
+                   opts=IntegratorOptions(rk_tol=1e-12))
+    (ev,) = res.events
+    assert ev.indices == (0, 1)
+    assert ev.tau == pytest.approx(_THIRD_BODY_TAU, rel=1e-6)
+
+
+@pytest.mark.parametrize("a,alpha", [(1.5, 1.0), (1.5, 10.0), (1.5, 100.0),
+                                     (0.5, 1e4), (0.0, 1e8)])
+def test_power_law_pair_at_closing_rate(a, alpha):
+    # d^p shrinks at rate alpha^(1-a): 0.1 to 1e8 times the unit rate.  At
+    # 1e4 and 1e8 the unit-rate cap let trial points overshoot the contact
+    # until the step underflowed; at 1e8 the pair fires by its rate, at a
+    # gap above CLUSTER_FACTOR times the trigger radius
+    d0 = 0.5
+    exact = d0 ** (2 + a) * alpha ** (a - 1)
+    st = ParticleState(0.0, [-d0 / 2, d0 / 2], [1, -1])
+    res = simulate(st, power_law_force_potential(a), alpha, None,
+                   1.1 * exact + 0.01)
+    assert res.events.events[0].tau == pytest.approx(exact, rel=1e-5)
 
 
 def test_single_particle_stationary():
