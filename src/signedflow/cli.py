@@ -55,6 +55,7 @@ def _cmd_simulate(args) -> int:
           f"{s['force_evals']} force evaluations, "
           f"{s['pair_evals']} pairs swept by them, "
           f"{s['gap_capped']} steps set by the gap cap, "
+          f"{s['contact_scaled']} shrunk by the time to contact, "
           f"{s['snapshot_capped']} by a snapshot time, "
           f"{s['end_capped']} by t_end")
     return EXIT_OK

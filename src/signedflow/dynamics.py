@@ -17,16 +17,23 @@ pair on a single-sign segment, whose steps are set by the stiffness of the
 repulsion, where the lower order costs fewer evaluations.  Both are
 first-same-as-last.  The step after an attempt with error norm err is
 0.9 err^(-1/q) times the last one, clipped to [0.2, 5], with q the order of
-the pair's error estimate plus one.
+the pair's error estimate plus one; near a collision the step after an
+accepted one is also scaled by the time to contact, as below.
 
 Close to a collision the shrinking gap d of an opposite pair follows
 d^(2+a) affine in t (a = singularity exponent of the force).  The fit of
 d^(2+a) through the last two commits gives each closing pair its time to
 contact, d^(2+a) over the rate at which it shrinks.  GAP_FACTOR times the
-least of them caps the next step; a segment's first step, before there is a
-rate, is capped at GAP_FACTOR d^(2+a).  Once a closing pair's gap is under
-the trigger radius, or its cap under H_COLLISION_FLOOR, its extrapolated
-contact time is the collision time (``_event_radii``).
+least of them, t_c, caps the next step; a segment's first step, before
+there is a rate, is capped at GAP_FACTOR d^(2+a).  Near the contact the
+positions move as t_c^(1/p), p = 2 + a, so their q-th derivative, and with
+it the error of a step of size h, grows as h^q t_c^(1/p - q): the step that
+keeps err at 1 shrinks as t_c^(1 - 1/(p q)).  When t_c shrinks from one
+commit to the next, the controller's proposal is multiplied by
+(t_c / t_c_prev)^(1 - 1/(p q)), so it follows the contact down rather than
+overshoot and be rejected.  Once a closing pair's gap is under the trigger
+radius, or its cap under H_COLLISION_FLOOR, its extrapolated contact time is
+the collision time (``_event_radii``).
 
 For potentials with exponential tails (``tail_class == "exponential"``) the
 pair sweep of ``simulate`` is banded: it keeps the pairs of charged
@@ -200,7 +207,7 @@ class Diagnostics:
 
 
 # fixed event and step-ceiling parameters of ``simulate``
-GAP_FACTOR = 0.2            # step ceiling h <= GAP_FACTOR * time to contact
+GAP_FACTOR = 0.5            # step ceiling h <= GAP_FACTOR * time to contact
 COLLISION_RADIUS = 1e-5     # smallest trigger radius
 CLUSTER_FACTOR = 8.0        # cluster radius = factor * trigger radius
 H_COLLISION_FLOOR = 1e-13   # smallest gap-capped step before an event fires
@@ -257,7 +264,8 @@ def _event_radii(exponent: float):
     d^p shrinks, taken from the last two commits.  The trigger radius is
     max(COLLISION_RADIUS, r_time), with r_time = (H_COLLISION_FLOOR /
     GAP_FACTOR)^(1/p) the gap at which the cap falls to H_COLLISION_FLOOR
-    at unit rate; it exceeds COLLISION_RADIUS for strong singularities
+    at unit rate; it moves with GAP_FACTOR (2.35e-4 at a = 1.5 and
+    GAP_FACTOR = 0.5) and exceeds COLLISION_RADIUS for strong singularities
     (large a).  A pair closing at c <= 1 has t_c >= d^p, so its cap stays
     at or above the floor while its gap is above the trigger radius.  A
     faster pair reaches the floor at the larger gap (c H_COLLISION_FLOOR /
@@ -277,9 +285,11 @@ class SimulationResult:
     diagnostics: Diagnostics
     snapshots: list            # states at requested t_eval times
     # step attempts accepted and rejected, right-hand-side evaluations, the
-    # pairs those evaluations swept (pair_evals), and the attempts whose step
+    # pairs those evaluations swept (pair_evals), the attempts whose step
     # the gap cap (gap_capped), the next snapshot time (snapshot_capped) or
-    # t_end (end_capped) set; error control set the rest
+    # t_end (end_capped) set, error control the rest, and the commits where
+    # a shrinking time to contact shrank error control's proposal
+    # (contact_scaled)
     stats: dict
 
     def trajectory_csv(self) -> str:
@@ -674,13 +684,23 @@ def simulate(state0: ParticleState, pot: Potential, alpha: float,
 
     ``t_eval`` requests state snapshots at given times (stepping lands on
     them exactly; a request within 1e-12 max(1, |t|) of a reached time t is
-    taken there).  Diagnostics hold one row at the start, one after each
+    taken there, and one before the start time is the start state).
+    ``t_end`` must be finite and not before the start time, and no request
+    may be nan or after ``t_end``; otherwise ValueError is raised before
+    the first step.  Diagnostics hold one row at the start, one after each
     event batch and one per accepted step; rows are computed in blocks and
     are all present on return.  numpy floating-point warnings are silenced
     while it runs: a crossing or coinciding stage point yields inf or nan,
     and step control rejects it.
     """
     state0.validate()
+    eval_queue = sorted(float(t) for t in (t_eval if t_eval is not None else []))
+    if not (math.isfinite(t_end) and state0.t <= t_end):
+        raise ValueError(f"t_end must be finite and at least the start time "
+                         f"{state0.t}, got {t_end}")
+    if not all(tv <= t_end for tv in eval_queue):
+        raise ValueError(f"snapshot times must not be nan or exceed t_end "
+                         f"= {t_end}")
     # spot check of the monotone-force ledger (warn-only; the full audit is
     # the caller's business)
     if pot.deriv(1.0, 1) > 0.0 or pot.deriv(1.0, 2) < 0.0:
@@ -695,10 +715,10 @@ def simulate(state0: ParticleState, pot: Potential, alpha: float,
     events = EventLog()
     diag = Diagnostics()
     snapshots = []
-    eval_queue = sorted(float(t) for t in (t_eval if t_eval is not None else []))
     t, x, b = state0.t, state0.x, state0.b
     stats = {"accepted": 0, "rejected": 0, "force_evals": 0, "pair_evals": 0,
-             "gap_capped": 0, "snapshot_capped": 0, "end_capped": 0}
+             "gap_capped": 0, "snapshot_capped": 0, "end_capped": 0,
+             "contact_scaled": 0}
 
     with np.errstate(**_KERNEL_ERRSTATE):
         while True:
@@ -713,7 +733,7 @@ def simulate(state0: ParticleState, pot: Potential, alpha: float,
             ks[0] = seg.rhs(xc)
             stats["force_evals"] += 1
             h = opts.h_init
-            t_prev, prev_dp = t, None
+            t_prev, prev_dp, tc_prev = t, None, np.inf
             event = None
             while True:
                 # commit (t, xc), the segment start or an accepted step: one
@@ -729,7 +749,15 @@ def simulate(state0: ParticleState, pot: Potential, alpha: float,
                     h_cap = GAP_FACTOR * d_min ** p
                 else:
                     contact = _contact_times(dp, prev_dp, t - t_prev)
-                    h_cap = GAP_FACTOR * float(contact.min(initial=np.inf))
+                    tc = float(contact.min(initial=np.inf))
+                    h_cap = GAP_FACTOR * tc
+                    # a step h errs by about h^q tc^(1/p - q) near the
+                    # contact (module docstring): as tc shrinks, shrink
+                    # error control's proposal as err = 1 asks
+                    if tc < tc_prev < np.inf:
+                        h *= (tc / tc_prev) ** (1.0 - 1.0 / (p * q))
+                        stats["contact_scaled"] += 1
+                    tc_prev = tc
                     if d_min < r_trig or h_cap < H_COLLISION_FLOOR:
                         event = _extrapolate_event(seg.opp, seg.idx, gaps,
                                                    contact, t, r_trig,
@@ -798,8 +826,7 @@ def simulate(state0: ParticleState, pot: Potential, alpha: float,
             st = _finalize_event(seg.state(tau, xc), tau, clusters, events)
             t, x, b = st.t, st.x, st.b
 
-    for tv in _pop_due(eval_queue, t_end, 1e-12):
-        snapshots.append(seg.state(tv, xc))
+    # the last commit, at t_end, took every request: none is after t_end
     return SimulationResult(seg.state(t, xc), events, diag, snapshots, stats)
 
 

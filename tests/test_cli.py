@@ -82,7 +82,11 @@ def test_simulate_writes_stats(tmp_path, capsys):
     assert st["snapshot_capped"] == 1 and st["end_capped"] == 1
     capped = st["gap_capped"] + st["snapshot_capped"] + st["end_capped"]
     assert capped <= st["accepted"] + st["rejected"]
+    # the closing pair's time to contact shrinks error control's proposal
+    assert 0 < st["contact_scaled"] <= st["accepted"]
     summary = capsys.readouterr().out
+    assert (f"{st['gap_capped']} steps set by the gap cap, "
+            f"{st['contact_scaled']} shrunk by the time to contact") in summary
     assert (f"{st['snapshot_capped']} by a snapshot time, "
             f"{st['end_capped']} by t_end") in summary
     assert f"{st['pair_evals']} pairs swept" in summary

@@ -16,8 +16,8 @@ from signedflow import (InvariantViolationError, IntegratorOptions,
                         detect_collision, energy, log_potential,
                         power_law_force_potential, riesz_potential, simulate,
                         stability_experiment, velocities, wall_potential)
-from signedflow.dynamics import (_band_cutoff, _band_pairs, _Segment,
-                                 _event_radii)
+from signedflow.dynamics import (GAP_FACTOR, H_COLLISION_FLOOR, _band_cutoff,
+                                 _band_pairs, _Segment, _event_radii)
 from signedflow.potentials import ExternalField, make_field, zero_field
 
 
@@ -415,9 +415,11 @@ def test_simulation_stats_count_steps_and_evaluations():
     assert signed["accepted"] > 0
     a = signed["accepted"] + signed["rejected"]
     assert 5 * a + 1 <= signed["force_evals"] <= 6 * a + 1
-    # the run closes a pair, where the gap cap binds before error control;
+    # the run closes a pair, where the gap cap binds before error control
+    # and the shrinking time to contact scales error control's proposal;
     # its last step lands on t_end
     assert 0 < s["gap_capped"] <= attempts
+    assert 0 < s["contact_scaled"] <= s["accepted"]
     assert s["snapshot_capped"] == 0 and s["end_capped"] == 1
     # each requested time inside the run sets the step that lands on it
     snap = simulate(st, log_potential(), 1.0, None, 2.0,
@@ -430,6 +432,8 @@ def test_simulation_stats_count_steps_and_evaluations():
     assert like["pair_evals"] == 6 * like["force_evals"] > 0
     a = like["accepted"] + like["rejected"]
     assert 2 * a + 1 <= like["force_evals"] <= 3 * a + 1
+    # no opposite pair, no time to contact
+    assert like["contact_scaled"] == 0
     assert s["force_evals"] <= s["pair_evals"] < 6 * s["force_evals"]
     # 40 wall charges at alpha = 40 span 80 / alpha: the band drops pairs
     wall = simulate(ParticleState(0.0, np.linspace(-1.0, 1.0, 40),
@@ -479,6 +483,46 @@ def test_power_law_pair_at_closing_rate(a, alpha):
     assert res.events.events[0].tau == pytest.approx(exact, rel=1e-5)
 
 
+@pytest.mark.parametrize("a,rk_tol,max_rejected", [(1.5, 1e-9, 2),
+                                                    (0.5, 1e-12, 5)])
+def test_pair_approach_rejects_few_attempts(a, rk_tol, max_rejected):
+    # near the contact the error of a fixed step grows as the time to
+    # contact shrinks; scaling the proposal by that time keeps the
+    # controller from alternating accepted and rejected attempts
+    d0 = 0.5
+    exact = d0 ** (2 + a)
+    st = ParticleState(0.0, [-d0 / 2, d0 / 2], [1, -1])
+    res = simulate(st, power_law_force_potential(a), 1.0, None,
+                   1.1 * exact + 0.01, opts=IntegratorOptions(rk_tol=rk_tol))
+    assert res.stats["rejected"] <= max_rejected
+    assert res.stats["contact_scaled"] > 0
+    assert res.events.events[0].tau == pytest.approx(exact, rel=1e-5)
+
+
+@pytest.mark.parametrize("a", [0.0, 0.5, 1.5])
+def test_pair_approach_keeps_gap_samples(a):
+    # the exponent fit of criterion 3 reads the gaps of the last decades
+    # before the event; a step ceiling that strides too far starves it
+    st = ParticleState(0.0, [-0.5, 0.5], [1, -1])
+    res = simulate(st, power_law_force_potential(a), 1.0, None, 1.1)
+    tau = res.events.events[0].tau
+    t = np.asarray(res.diagnostics.t)
+    gaps = np.asarray(res.diagnostics.min_opposite_gap)[t < tau]
+    assert np.count_nonzero(gaps <= 1e3 * gaps[-1]) >= 15
+
+
+@pytest.mark.parametrize("t_end,t_eval", [
+    (math.nan, None),          # no end time
+    (-0.1, None),              # an end before the start
+    (0.1, [0.05, 0.2]),        # a request after t_end
+    (0.1, [0.05, math.nan]),   # a nan request
+])
+def test_simulate_rejects_bad_times(t_end, t_eval):
+    st = ParticleState(0.0, [-0.5, 0.5], [1, -1])
+    with pytest.raises(ValueError):
+        simulate(st, log_potential(), 1.0, None, t_end, t_eval=t_eval)
+
+
 def test_single_particle_stationary():
     st = ParticleState(0.0, [0.3], [1])
     res = simulate(st, log_potential(), 1.0, None, 1.0)
@@ -504,11 +548,14 @@ def test_snapshots_land_on_requested_times():
 
 
 def test_snapshot_within_round_off_of_start_taken_there():
-    # a request within 1e-12 max(1, |t0|) of t0 is taken at t0, unmoved
+    # a request within 1e-12 max(1, |t0|) of t0 is taken at t0, unmoved,
+    # and so is one before t0
     st = ParticleState(2.0, [-0.5, 0.5], [1, 1])
-    res = simulate(st, log_potential(), 1.0, None, 2.5, t_eval=[2.0 + 1e-12])
-    assert res.snapshots[0].t == 2.0 + 1e-12
-    assert res.snapshots[0].x.tobytes() == st.x.tobytes()
+    res = simulate(st, log_potential(), 1.0, None, 2.5,
+                   t_eval=[1.5, 2.0 + 1e-12])
+    assert [s.t for s in res.snapshots] == [1.5, 2.0 + 1e-12]
+    for snap in res.snapshots:
+        assert snap.x.tobytes() == st.x.tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -573,10 +620,12 @@ def test_detect_collision_two_sample_fit():
 
 def test_event_radii():
     assert _event_radii(0.0) == (1e-5, 8e-5)
-    # at a = 1.5 the gap cap 0.2 d^3.5 reaches 1e-13 above 1e-5
+    # at a = 1.5 the unit-rate gap cap GAP_FACTOR d^3.5 reaches
+    # H_COLLISION_FLOOR above 1e-5
     r_trig, r_cluster = _event_radii(1.5)
-    assert r_trig == pytest.approx((5e-13) ** (1 / 3.5), rel=1e-12)
-    assert r_trig == pytest.approx(3.1e-4, abs=1e-5)
+    assert r_trig == pytest.approx(
+        (H_COLLISION_FLOOR / GAP_FACTOR) ** (1 / 3.5), rel=1e-12)
+    assert r_trig == pytest.approx(2.35e-4, abs=1e-5)
     assert r_cluster == 8.0 * r_trig
 
 
