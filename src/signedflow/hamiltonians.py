@@ -13,7 +13,9 @@ E_eps of the increment steps by sigma*eps where it crosses a level of eps*Z,
 sigma = +1 upward and -1 downward.  One scan of the levels per side of x
 finds every crossing (r, sigma) on (0, rho), and the ball integral is the
 *exact* sum eps * sum sigma (V_alpha'(rho) - V_alpha'(r)) over both sides
-(int V'' = dV').  The principal value pairs z with -z: up to the core radius
+(int V'' = dV').  The scan runs in blocks of at most _BLOCK levels, each
+summed while its temporaries are in cache, so no array is as long as the
+level count.  The principal value pairs z with -z: up to the core radius
 rho0, the first crossing on either side, the increment stays inside
 (-eps, eps) with the sign of z and the paired E-values eps/2 - eps/2 cancel.
 
@@ -47,6 +49,8 @@ __all__ = [
 ]
 
 _MAX_LEVELS = 8_000_000
+# crossings per block: the temporaries of a block stay in cache
+_BLOCK = 16_384
 
 
 @dataclass(frozen=True)
@@ -206,62 +210,99 @@ def _bisect_levels(g, zlo, zhi, levels, iters: int = 50):
     return 0.5 * (lo + hi)
 
 
+def _level_blocks(j_lo: int, j_hi: int, eps: float):
+    """The levels j * eps for j_lo <= j <= j_hi in blocks of at most _BLOCK,
+    bit for bit the slices of one arange."""
+    for j0 in range(j_lo, j_hi + 1, _BLOCK):
+        yield np.arange(j0, min(j0 + _BLOCK, j_hi + 1), dtype=float) * eps
+
+
 def _piece_crossings(g, a: float, b: float, eps: float, inverse=None):
     """Crossing radii of the levels eps*Z inside a monotone piece [a, b], in
-    increasing r, and the piece's direction: +1 rising, -1 falling."""
+    increasing r and in blocks of at most _BLOCK, each block with the piece's
+    direction: +1 rising, -1 falling."""
     ga, gb = _scalar(g, a), _scalar(g, b)
     sign = 1.0 if ga <= gb else -1.0
-    lo, hi = sorted((ga, gb))
-    k_lo = math.floor(lo / eps) + 1
-    k_hi = math.ceil(hi / eps) - 1
-    if k_hi < k_lo:
-        return np.empty(0), sign
-    n_levels = k_hi - k_lo + 1
+
+    # h = sign * g rises and meets the levels j * eps (j = sign * k, the same
+    # bits negated) in increasing r, so the crossing sums of mirror-image
+    # sides add the same terms in the same order
+    h = g if sign > 0 else (lambda r: -np.asarray(g(r), dtype=float))
+    j_lo = math.floor(sign * ga / eps) + 1
+    j_hi = math.ceil(sign * gb / eps) - 1
+    if j_hi < j_lo:
+        return
+    n_levels = j_hi - j_lo + 1
     if n_levels > _MAX_LEVELS:
         raise ConvergenceError(
             f"level count {n_levels} exceeds the refinement budget; "
             "increase eps or shrink the ball")
-    levels = np.arange(k_lo, k_hi + 1, dtype=float) * eps
-    if sign < 0:
-        # the order g meets them in: radii increase, so the crossing sums of
-        # mirror-image sides add the same terms in the same order
-        levels = levels[::-1]
     if inverse is not None:
-        return np.clip(inverse(levels, a, b), a, b), sign
+        for levels in _level_blocks(j_lo, j_hi, eps):
+            yield np.clip(inverse(sign * levels, a, b), a, b), sign
+        return
+    # bracket on the grid linspace(a, b, m), walked in chunks that overlap by
+    # one sample: a level's bracket ends at the first sample with h >= level
     m = int(min(max(256, 4 * n_levels), 4_000_000))
-    zs = np.linspace(a, b, m)
-    gs = np.asarray(g(zs), dtype=float)
-    if sign > 0:
-        pos = np.searchsorted(gs, levels)
-    else:
-        pos = len(zs) - np.searchsorted(gs[::-1], levels, side="right")
-    pos = np.clip(pos, 1, m - 1)
-    return _bisect_levels(g, zs[pos - 1], zs[pos], levels), sign
+    step = (b - a) / (m - 1)
+    j = j_lo
+    z_last = h_last = None
+    for i0 in range(0, m, 4 * _BLOCK):
+        i1 = min(i0 + 4 * _BLOCK, m)
+        zs = np.arange(i0, i1, dtype=float) * step + a
+        if i1 == m:
+            zs[-1] = b
+        hs = h(zs)
+        if z_last is not None:
+            zs, hs = np.append(z_last, zs), np.append(h_last, hs)
+        z_last, h_last = zs[-1], hs[-1]
+        # the pending levels at or below the chunk's last value, and in the
+        # last chunk every one left: their brackets end in this chunk
+        top = j_hi if i1 == m else min(j_hi, math.floor(h_last / eps))
+        while top >= j and top * eps > h_last:
+            top -= 1
+        while top < j_hi and (top + 1) * eps <= h_last:
+            top += 1
+        for levels in _level_blocks(j, top, eps):
+            pos = np.clip(np.searchsorted(hs, levels), 1, len(zs) - 1)
+            yield _bisect_levels(h, zs[pos - 1], zs[pos], levels), sign
+        j = max(j, top + 1)
+
+
+def _side_blocks(g, dg, lo: float, hi: float, eps: float, crit=None,
+                 inverse=None):
+    """eps*Z crossings of g on (lo, hi) in increasing r, as blocks of
+    (radii, sign): E_eps[g] steps by sign * eps at each radius and nowhere
+    else."""
+    if hi <= lo:
+        return
+    if crit is None:
+        crit = _critical_radii(dg, lo, hi)
+    bounds = [lo] + sorted(c for c in crit if lo < c < hi) + [hi]
+    for a, b in zip(bounds[:-1], bounds[1:]):
+        yield from _piece_crossings(g, a, b, eps, inverse=inverse)
 
 
 def _side_crossings(g, dg, lo: float, hi: float, eps: float, crit=None,
                     inverse=None):
-    """eps*Z crossings of g on (lo, hi) in increasing r, as (radii, signs):
-    E_eps[g] steps by sign * eps at each radius and nowhere else."""
-    if hi <= lo:
-        return np.empty(0), np.empty(0)
-    if crit is None:
-        crit = _critical_radii(dg, lo, hi)
-    bounds = [lo] + sorted(c for c in crit if lo < c < hi) + [hi]
-    radii, signs = [np.empty(0)], [np.empty(0)]
-    for a, b in zip(bounds[:-1], bounds[1:]):
-        r, sign = _piece_crossings(g, a, b, eps, inverse=inverse)
-        radii.append(r)
-        signs.append(np.full(len(r), sign))
-    return np.concatenate(radii), np.concatenate(signs)
+    """The blocks of ``_side_blocks`` joined into (radii, signs)."""
+    blocks = list(_side_blocks(g, dg, lo, hi, eps, crit=crit, inverse=inverse))
+    return (np.concatenate([np.empty(0)] + [r for r, _ in blocks]),
+            np.concatenate([np.empty(0)]
+                           + [np.full(len(r), sign) for r, sign in blocks]))
 
 
-def _crossing_sum(pot: Potential, alpha: float, eps: float, radii, signs,
-                  hi: float) -> float:
+def _crossing_sum(pot: Potential, alpha: float, eps: float, blocks,
+                  hi: float):
     """int^hi of the E-steps sigma*eps at the crossings (r, sigma) against
-    V_alpha'': eps * sum sigma (V_alpha'(hi) - V_alpha'(r)), int V'' = dV'."""
-    vp = _vp(pot, alpha, np.append(radii, hi))
-    return eps * float(np.sum(signs * (vp[-1] - vp[:-1])))
+    V_alpha'': eps * sum sigma (V_alpha'(hi) - V_alpha'(r)), int V'' = dV';
+    and the least crossing radius, hi if there is none."""
+    vp_hi = float(_vp(pot, alpha, hi))
+    total, least = 0.0, hi
+    for radii, sign in blocks:
+        total += sign * float(np.sum(vp_hi - _vp(pot, alpha, radii)))
+        least = min(least, float(radii.min()))
+    return eps * total, least
 
 
 # ---------------------------------------------------------------------------
@@ -287,17 +328,14 @@ def _paired_ball(phi: TestFunction, x: float, pot: Potential, rho: float,
     def g_left(r):
         return np.asarray(phi.f(x - np.asarray(r)), dtype=float) - f0
 
-    r_right, s_right = _side_crossings(
+    ball_right, rho0_right = _crossing_sum(pot, alpha, eps, _side_blocks(
         g_right, lambda r: phi.d1(x + np.asarray(r)), 0.0, rho, eps,
-        crit=crit_right, inverse=inverse_right)
-    r_left, s_left = _side_crossings(
+        crit=crit_right, inverse=inverse_right), rho)
+    ball_left, rho0_left = _crossing_sum(pot, alpha, eps, _side_blocks(
         g_left, lambda r: -np.asarray(phi.d1(x - np.asarray(r)), dtype=float),
-        0.0, rho, eps, crit=crit_left, inverse=inverse_left)
-    rho0 = min(r_right.min(initial=rho), r_left.min(initial=rho))
+        0.0, rho, eps, crit=crit_left, inverse=inverse_left), rho)
     # one sum per side: the two sides of an odd increment cancel exactly
-    ball = (_crossing_sum(pot, alpha, eps, r_right, s_right, rho)
-            + _crossing_sum(pot, alpha, eps, r_left, s_left, rho))
-    return ball, float(rho0)
+    return ball_right + ball_left, min(rho0_right, rho0_left)
 
 
 def _far_pieces(far, x: float, rho: float, side: int):
@@ -338,13 +376,14 @@ def _tail_quantized(far, x: float, pot: Potential, rho: float, eps: float,
         smooth, bounds, incr = _far_pieces(far, x, rho, side)
         if smooth is not None:
             g, dg, r_hi = smooth
-            radii, signs = _side_crossings(g, dg, rho, r_hi, eps)
+            steps, first = _crossing_sum(pot, alpha, eps,
+                                         _side_blocks(g, dg, rho, r_hi, eps),
+                                         r_hi)
             # E on (rho, first crossing), then its steps at the crossings
-            mid = 0.5 * (rho + radii.min(initial=r_hi))
-            e0 = staircase_identity(_scalar(g, mid), eps, envelope)
+            e0 = staircase_identity(_scalar(g, 0.5 * (rho + first)), eps,
+                                    envelope)
             vp = _vp(pot, alpha, [rho, r_hi])
-            total += (e0 * float(vp[1] - vp[0])
-                      + _crossing_sum(pot, alpha, eps, radii, signs, r_hi))
+            total += e0 * float(vp[1] - vp[0]) + steps
         e = staircase_identity(incr, eps, envelope)
         total += float(np.sum(e * np.diff(_vp_bounds(pot, alpha, bounds))))
     return total
@@ -478,19 +517,27 @@ def rhs_convergence_table(phi: TestFunction, x: float, m: int, pot: Potential,
 # ---------------------------------------------------------------------------
 
 def _quartic_inverses(K: float, gamma: float):
-    """Closed-form level inversion for K((z+gamma)^4 - gamma^4) per side."""
+    """Closed-form level inversion for K((z+gamma)^4 - gamma^4) per side.
 
-    def inv_right(levels, a, b):
-        mid = 0.5 * (a + b)
-        sig = math.copysign(1.0, mid + gamma)
-        return -gamma + sig * np.maximum(gamma ** 4 + levels / K, 0.0) ** 0.25
+    Each side's increment is K((r + shift)^4 - shift^4), shift = gamma on
+    the right and -gamma on the left.  Where -shift + sig * A cancels
+    (sig * shift > 0, A = (shift^4 + L/K)^(1/4)), the root is taken as
+    sig * (L/K) / ((A + |shift|)(A^2 + shift^2)), its cancellation-free form.
+    """
+    gamma4 = gamma ** 4
 
-    def inv_left(levels, a, b):
-        mid = 0.5 * (a + b)
-        sig = math.copysign(1.0, gamma - mid)
-        return gamma - sig * np.maximum(gamma ** 4 + levels / K, 0.0) ** 0.25
+    def inverse(shift):
+        def inv(levels, a, b):
+            sig = math.copysign(1.0, 0.5 * (a + b) + shift)
+            q = levels / K
+            root = np.maximum(gamma4 + q, 0.0) ** 0.25
+            if sig * shift > 0:
+                return sig * q / ((root + abs(shift))
+                                  * (root * root + shift * shift))
+            return -shift + sig * root
+        return inv
 
-    return inv_right, inv_left
+    return inverse(gamma), inverse(-gamma)
 
 
 def quartic_probe_value(pot: Potential, K: float, gamma: float, eps: float,

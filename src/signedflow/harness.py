@@ -223,6 +223,9 @@ class ExperimentConfig:
 # quartic-well envelope
 # ---------------------------------------------------------------------------
 
+_ENV_BLOCK = 65_536
+
+
 @dataclass
 class WellEnvelope:
     """Envelope of translated quartics majorizing sampled data.
@@ -239,6 +242,7 @@ class WellEnvelope:
     touched: np.ndarray        # env meets phi at these samples
     centers: np.ndarray        # arg-min quartic center at each sample
     min_feasible_K: float | None = None
+    sweeps: int = 1            # envelope sweeps made, K's bisection included
 
     @property
     def feasible(self) -> bool:
@@ -275,15 +279,29 @@ def _quartic_env_values(xs, phi, K):
     left = xs[0] - dx * np.arange(n_pad, 0, -1)
     right = xs[-1] + dx * np.arange(1, n_pad + 1)
     y0 = np.concatenate([left, xs, right])
-    # K |x - y0|^4, once per sweep and in place: numpy's ** on the negative
-    # offsets is tens of times slower than on their absolute values
-    wells = np.abs(xs[None, :] - y0[:, None])
-    wells **= 4
-    wells *= K
-    c = np.max(phi[None, :] - wells, axis=1)
-    wells += c[:, None]
-    best = np.argmin(wells, axis=0)
-    env = wells[best, np.arange(len(xs))]
+    # the centers in row blocks of about _ENV_BLOCK wells, whose temporaries
+    # stay in cache; a later block takes a column only where it is strictly
+    # lower, so env and the first arg-min center match one dense sweep
+    env = np.full(len(xs), np.inf)
+    best = np.zeros(len(xs), dtype=np.intp)
+    rows = max(1, _ENV_BLOCK // len(xs))
+    cols = np.arange(len(xs))
+    wells = np.empty((rows, len(xs)))
+    for r0 in range(0, len(y0), rows):
+        w = wells[:min(rows, len(y0) - r0)]
+        # K |x - y0|^4 in place: numpy's ** on the negative offsets is tens
+        # of times slower than on their absolute values
+        np.subtract(xs[None, :], y0[r0:r0 + len(w), None], out=w)
+        np.abs(w, out=w)
+        w **= 4
+        w *= K
+        c = np.max(phi[None, :] - w, axis=1)
+        w += c[:, None]
+        arg = np.argmin(w, axis=0)
+        low = w[arg, cols]
+        lower = low < env
+        env[lower] = low[lower]
+        best[lower] = r0 + arg[lower]
     return env, y0[best]
 
 
@@ -313,11 +331,13 @@ def quartic_envelope(xs, phi, K: float, touch_tol: float = 1e-8,
     scale = max(1.0, float(np.max(np.abs(phi))))
     touched = env <= phi + touch_tol * scale
     min_k = None
+    sweeps = 1
     if not np.all(touched):
         lo, hi = K, K
         while hi < k_hi:
             hi *= 4.0
             e, _ = _quartic_env_values(xs, phi, hi)
+            sweeps += 1
             if np.all(e <= phi + touch_tol * scale):
                 break
         else:
@@ -325,6 +345,7 @@ def quartic_envelope(xs, phi, K: float, touch_tol: float = 1e-8,
         for _ in range(48):
             mid = math.sqrt(lo * hi)
             e, _ = _quartic_env_values(xs, phi, mid)
+            sweeps += 1
             if np.all(e <= phi + touch_tol * scale):
                 hi = mid
             else:
@@ -332,7 +353,7 @@ def quartic_envelope(xs, phi, K: float, touch_tol: float = 1e-8,
             if hi / lo < 1.001:
                 break
         min_k = hi
-    return WellEnvelope(K, xs, phi, env, touched, centers, min_k)
+    return WellEnvelope(K, xs, phi, env, touched, centers, min_k, sweeps)
 
 
 # ---------------------------------------------------------------------------

@@ -109,9 +109,12 @@ _BALL_KERNELS = {
 }
 
 
-@pytest.mark.parametrize("eps", [1e-2, 1e-3, 1e-4])
-@pytest.mark.parametrize("kernel", list(_BALL_KERNELS))
-@pytest.mark.parametrize("probe, x", [("sin", 0.3), ("cubic", -0.7)])
+@pytest.mark.parametrize("probe, x, kernel, eps", [
+    (probe, x, kernel, eps)
+    for eps in (1e-2, 1e-3, 1e-4)
+    for kernel in _BALL_KERNELS
+    for probe, x in (("sin", 0.3), ("cubic", -0.7))
+] + [("sin", 0.3, "wall m2", 1e-5)])  # bisected pieces of several blocks
 def test_crossing_sum_matches_merged_grid(probe, x, kernel, eps):
     phi = getattr(TestFunction, probe)()
     pot, alpha_of_eps = _BALL_KERNELS[kernel]
@@ -122,7 +125,7 @@ def test_crossing_sum_matches_merged_grid(probe, x, kernel, eps):
 
 
 @pytest.mark.parametrize("eps", [1e-2, 1e-3, 1e-4])
-@pytest.mark.parametrize("gamma", [2.0, -2.0])
+@pytest.mark.parametrize("gamma", [2.0, -2.0, 0.5, -0.5])
 def test_quartic_probe_matches_merged_grid(gamma, eps):
     K = 2.0
     alpha = ScalingRegime(m=3, beta=1.0).alpha_of_eps(eps)
@@ -134,6 +137,48 @@ def test_quartic_probe_matches_merged_grid(gamma, eps):
                           crit_left=[gamma] if gamma > 0 else [])
     val = quartic_probe_value(WALL, K, gamma, eps, alpha)
     assert val == pytest.approx(gamma ** 2 * ref, rel=1e-10)
+
+
+@pytest.mark.parametrize("x", [0.3, -0.4])
+def test_bisected_crossings_match_closed_form(x):
+    # sin's crossings of the levels k eps from the grid walk and bisection,
+    # against arcsin; each side's piece spans several grid chunks and blocks
+    eps, f0 = 1e-5, math.sin(x)
+    for side in (1, -1):
+        def g(r, side=side):
+            return np.sin(x + side * np.asarray(r)) - f0
+
+        def dg(r, side=side):
+            return side * np.cos(x + side * np.asarray(r))
+
+        radii, signs = hamiltonians._side_crossings(g, dg, 0.0, 1.0, eps)
+        sign = math.copysign(1.0, math.sin(x + side) - f0)
+        levels = sign * eps * np.arange(1, len(radii) + 1)
+        exact = side * (np.arcsin(f0 + levels) - x)
+        assert len(radii) == math.ceil(abs(math.sin(x + side) - f0) / eps) - 1
+        assert len(radii) > 2 * hamiltonians._BLOCK
+        assert np.all(signs == sign)
+        assert np.max(np.abs(radii - exact)) <= 1e-13
+
+
+@pytest.mark.parametrize("q", [1e-12, 1e-8, 1e-4])
+@pytest.mark.parametrize("gamma", [0.5, -0.5, 1.0, -1.0, 2.0, -2.0])
+def test_quartic_inverse_near_zero_high_precision(gamma, q):
+    # the crossing of the level L = +-K q next to z = 0, where
+    # -shift + sig (shift^4 + L/K)^(1/4) cancels, against 50-digit roots:
+    # the left side's increment is the right side's at shift = -gamma
+    mp = pytest.importorskip("mpmath")
+    K = 2.0
+    for inverse, shift in zip(hamiltonians._quartic_inverses(K, gamma),
+                              (gamma, -gamma)):
+        # the increment rises from 0 if shift > 0, else dips until -shift
+        level, b = (K * q, 1.0) if shift > 0 else (-K * q, -shift)
+        r = float(inverse(np.array([level]), 0.0, b)[0])
+        with mp.workdps(50):
+            s = mp.mpf(shift)
+            root = mp.root(s ** 4 + mp.mpf(level) / K, 4)
+            exact = mp.sign(s) * root - s
+            assert abs((r - exact) / exact) <= 1e-14
 
 
 @pytest.mark.parametrize("field", ["rho", "eps", "alpha_eps"])

@@ -174,6 +174,13 @@ def test_envelope_of_zero_is_zero():
     assert we.feasible
 
 
+def test_envelope_counts_its_sweeps():
+    xs = np.linspace(-2, 2, 257)
+    assert quartic_envelope(xs, -np.abs(xs), 1.0).sweeps == 1
+    # infeasible: the minimal K is bracketed and bisected, one sweep a step
+    assert quartic_envelope(xs, 0.3 * np.sin(3 * xs), 4.0).sweeps > 1
+
+
 def test_envelope_absolute_value_touches_everywhere():
     # -|x| can be wrapped from above by unit quartics at every point
     xs = np.linspace(-3, 3, 401)
