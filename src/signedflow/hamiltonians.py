@@ -300,8 +300,14 @@ def _crossing_sum(pot: Potential, alpha: float, eps: float, blocks,
     vp_hi = float(_vp(pot, alpha, hi))
     total, least = 0.0, hi
     for radii, sign in blocks:
-        total += sign * float(np.sum(vp_hi - _vp(pot, alpha, radii)))
-        least = min(least, float(radii.min()))
+        # the radii start at the first level, so V_alpha' is evaluated on
+        # (0, inf) directly, without the sign handling of Potential.deriv
+        low = float(radii.min())
+        if not low > 0:
+            raise ValueError("potential evaluated at x = 0")
+        vp = alpha ** 2 * np.asarray(pot.derivs[1](alpha * radii), dtype=float)
+        total += sign * float(np.sum(vp_hi - vp))
+        least = min(least, low)
     return eps * total, least
 
 
@@ -568,6 +574,11 @@ def quartic_probe_sweep(pot: Potential, regime: ScalingRegime, K: float,
     Returns (rows, per_eps_max) with rows of (eps, gamma, value); every value
     must be >= -quad_tol and the empirical maxima must stabilize as eps
     shrinks (the bound depends only on the potential, K and L).
+
+    The probe is even under (z, gamma) -> (-z, -gamma) bit for bit: the right
+    side at gamma is the left side at -gamma, term for term in the same
+    order, and the two sides' sums are added commutatively.  So each eps
+    evaluates one probe per |gamma| and the mirror's row reuses its value.
     """
     if not (K > 0 and L > 0):
         raise ValueError("the sweep needs K > 0 and L > 0")
@@ -582,9 +593,13 @@ def quartic_probe_sweep(pot: Potential, regime: ScalingRegime, K: float,
     per_eps_max = {}
     for eps, alpha_eps in zip(eps_grid, alphas):
         worst = 0.0
-        for gamma in gammas:
-            val = quartic_probe_value(pot, K, float(gamma), eps, alpha_eps)
-            rows.append((eps, float(gamma), float(val)))
+        by_size = {}  # one probe per |gamma|, shared by the mirror pair
+        for gamma in map(float, gammas):
+            if abs(gamma) not in by_size:
+                by_size[abs(gamma)] = quartic_probe_value(pot, K, gamma, eps,
+                                                          alpha_eps)
+            val = by_size[abs(gamma)]
+            rows.append((eps, gamma, float(val)))
             worst = max(worst, val)
         per_eps_max[eps] = worst
     return rows, per_eps_max

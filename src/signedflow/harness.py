@@ -224,6 +224,9 @@ class ExperimentConfig:
 # ---------------------------------------------------------------------------
 
 _ENV_BLOCK = 65_536
+# centers per block: a block's columns span the bands of all its
+# centers, so fewer rows evaluate fewer wells outside any band
+_ENV_ROWS = 64
 
 
 @dataclass
@@ -243,6 +246,7 @@ class WellEnvelope:
     centers: np.ndarray        # arg-min quartic center at each sample
     min_feasible_K: float | None = None
     sweeps: int = 1            # envelope sweeps made, K's bisection included
+    wells: int = 0             # (center, sample) wells evaluated, all sweeps
 
     @property
     def feasible(self) -> bool:
@@ -267,11 +271,21 @@ class WellEnvelope:
         return True
 
 
-def _quartic_env_values(xs, phi, K):
-    # c(y0) = max_z (phi(z) - K (z - y0)^4); env(x) = min_y0 K(x-y0)^4 + c(y0).
-    # Candidate centers extend past the window: a touch at slope p needs the
-    # center offset (|p| / 4K)^(1/3) beyond the touch point.
-    # Returns env and, per sample, the center attaining the minimum.
+def _env_blocks(xs, phi, K):
+    """Candidate centers y0 and the sweep's blocks (r0, r1, c0, c1): the
+    centers y0[r0:r1] against the samples xs[c0:c1].
+
+    Candidate centers extend past the window: a touch at slope p needs the
+    center offset (|p| / 4K)^(1/3) beyond the touch point.  A well deeper
+    than osc, the oscillation of phi, loses, so a center's c(y0) is attained
+    within ``band`` samples of the center (of the grid's end, for a pad
+    center), and env(x_i) only by centers within ``band`` samples of x_i
+    (pad centers near the ends).  ``band`` exceeds r = (osc / K)^(1/4) by
+    two samples, and osc carries an allowance of 2^-40 max|phi|, so every
+    excluded well loses by far more than rounding and none ties.  A block's
+    columns span the bands of its centers.
+    """
+    n = len(xs)
     dx = xs[1] - xs[0]
     slope_max = float(np.max(np.abs(np.diff(phi)))) / dx
     pad = 1.5 * (slope_max / (4.0 * K)) ** (1.0 / 3.0) + 2.0 * dx
@@ -279,29 +293,46 @@ def _quartic_env_values(xs, phi, K):
     left = xs[0] - dx * np.arange(n_pad, 0, -1)
     right = xs[-1] + dx * np.arange(1, n_pad + 1)
     y0 = np.concatenate([left, xs, right])
-    # the centers in row blocks of about _ENV_BLOCK wells, whose temporaries
-    # stay in cache; a later block takes a column only where it is strictly
-    # lower, so env and the first arg-min center match one dense sweep
+    hi, lo = float(np.max(phi)), float(np.min(phi))
+    osc = hi - lo + 2.0 ** -40 * max(abs(hi), abs(lo))
+    band = int(min(np.ceil((osc / K) ** 0.25 / dx) + 2, n))
+    rows = max(1, min(_ENV_ROWS, _ENV_BLOCK // n))
+    blocks = []
+    for r0 in range(0, len(y0), rows):
+        r1 = min(r0 + rows, len(y0))
+        # a pad center's band starts at the grid's end
+        c0 = max(min(r0 - n_pad, n - 1) - band, 0)
+        c1 = min(max(r1 - 1 - n_pad, 0) + band + 1, n)
+        blocks.append((r0, r1, c0, c1))
+    return y0, blocks
+
+
+def _quartic_env_values(xs, phi, K):
+    # c(y0) = max_z (phi(z) - K (z - y0)^4); env(x) = min_y0 K(x-y0)^4 + c(y0).
+    # Returns env and, per sample, the center attaining the minimum.
+    # Each block of centers meets only the samples of its band (_env_blocks),
+    # its temporaries in cache; a later block takes a column only where it is
+    # strictly lower, so env and the first arg-min center match one dense
+    # sweep
+    y0, blocks = _env_blocks(xs, phi, K)
     env = np.full(len(xs), np.inf)
     best = np.zeros(len(xs), dtype=np.intp)
-    rows = max(1, _ENV_BLOCK // len(xs))
-    cols = np.arange(len(xs))
-    wells = np.empty((rows, len(xs)))
-    for r0 in range(0, len(y0), rows):
-        w = wells[:min(rows, len(y0) - r0)]
+    buf = np.empty(_ENV_BLOCK)
+    for r0, r1, c0, c1 in blocks:
+        w = buf[:(r1 - r0) * (c1 - c0)].reshape(r1 - r0, c1 - c0)
         # K |x - y0|^4 in place: numpy's ** on the negative offsets is tens
         # of times slower than on their absolute values
-        np.subtract(xs[None, :], y0[r0:r0 + len(w), None], out=w)
+        np.subtract(xs[None, c0:c1], y0[r0:r1, None], out=w)
         np.abs(w, out=w)
         w **= 4
         w *= K
-        c = np.max(phi[None, :] - w, axis=1)
+        c = np.max(phi[None, c0:c1] - w, axis=1)
         w += c[:, None]
         arg = np.argmin(w, axis=0)
-        low = w[arg, cols]
-        lower = low < env
-        env[lower] = low[lower]
-        best[lower] = r0 + arg[lower]
+        low = w[arg, np.arange(c1 - c0)]
+        lower = low < env[c0:c1]
+        env[c0:c1][lower] = low[lower]
+        best[c0:c1][lower] = r0 + arg[lower]
     return env, y0[best]
 
 
@@ -312,13 +343,17 @@ def quartic_envelope(xs, phi, K: float, touch_tol: float = 1e-8,
 
     Where the envelope cannot touch (curvature spike exceeding what K can
     wrap), the minimal feasible K on this grid is bisected and reported.
+    Each sweep meets a block of candidate centers only with the samples of
+    their bands, which narrow as K grows; ``sweeps`` and ``wells`` count the
+    work.
     """
     xs = np.asarray(xs, dtype=float)
     phi = np.asarray(phi, dtype=float)
     if len(xs) != len(phi) or len(xs) < 8:
         raise DataError("need matching sample arrays of length >= 8")
     if len(xs) > 4096:
-        raise DataError("grid too large for the dense envelope sweep")
+        raise DataError("grid too large for the envelope sweep: at most "
+                        "4096 samples")
     if not (math.isfinite(K) and K > 0):
         raise DataError("K must be finite and positive")
     # the sweep pads the grid with the spacing xs[1] - xs[0]
@@ -327,25 +362,31 @@ def quartic_envelope(xs, phi, K: float, touch_tol: float = 1e-8,
         raise DataError("xs must be strictly increasing and evenly spaced")
     if not np.all(np.isfinite(phi)):
         raise DataError("phi must be finite")
-    env, centers = _quartic_env_values(xs, phi, K)
+    sweeps = wells = 0
+
+    def sweep(k):
+        nonlocal sweeps, wells
+        sweeps += 1
+        wells += sum((r1 - r0) * (c1 - c0)
+                     for r0, r1, c0, c1 in _env_blocks(xs, phi, k)[1])
+        return _quartic_env_values(xs, phi, k)
+
+    env, centers = sweep(K)
     scale = max(1.0, float(np.max(np.abs(phi))))
     touched = env <= phi + touch_tol * scale
     min_k = None
-    sweeps = 1
     if not np.all(touched):
         lo, hi = K, K
         while hi < k_hi:
             hi *= 4.0
-            e, _ = _quartic_env_values(xs, phi, hi)
-            sweeps += 1
+            e, _ = sweep(hi)
             if np.all(e <= phi + touch_tol * scale):
                 break
         else:
             raise DataError("no feasible K below the bisection cap")
         for _ in range(48):
             mid = math.sqrt(lo * hi)
-            e, _ = _quartic_env_values(xs, phi, mid)
-            sweeps += 1
+            e, _ = sweep(mid)
             if np.all(e <= phi + touch_tol * scale):
                 hi = mid
             else:
@@ -353,7 +394,8 @@ def quartic_envelope(xs, phi, K: float, touch_tol: float = 1e-8,
             if hi / lo < 1.001:
                 break
         min_k = hi
-    return WellEnvelope(K, xs, phi, env, touched, centers, min_k, sweeps)
+    return WellEnvelope(K, xs, phi, env, touched, centers, min_k, sweeps,
+                        wells)
 
 
 # ---------------------------------------------------------------------------

@@ -124,6 +124,15 @@ def test_crossing_sum_matches_merged_grid(probe, x, kernel, eps):
     assert ball == pytest.approx(ref, rel=1e-10)
 
 
+@pytest.mark.parametrize("radii", [[0.0, 0.5], [0.5, -0.25]])
+def test_crossing_sum_refuses_radii_off_the_half_line(radii):
+    # the sum evaluates V' on (0, inf) directly, and refuses as
+    # Potential.deriv does at x = 0
+    with pytest.raises(ValueError, match="x = 0"):
+        hamiltonians._crossing_sum(WALL, 2.0, 1e-2,
+                                   [(np.array(radii), 1.0)], 1.0)
+
+
 @pytest.mark.parametrize("eps", [1e-2, 1e-3, 1e-4])
 @pytest.mark.parametrize("gamma", [2.0, -2.0, 0.5, -0.5])
 def test_quartic_probe_matches_merged_grid(gamma, eps):
@@ -456,3 +465,31 @@ def test_quartic_sweep_small():
                                         2.0, 2.0, [1e-1, 1e-2], gammas)
     assert min(r[2] for r in rows) >= -1e-9
     assert len(rows) == 12
+
+
+@pytest.mark.parametrize("gammas", [
+    [-1.5, -0.3, -1e-3, 1e-3, 0.3, 1.5],
+    [-1.5, -0.3, 0.7, 1.5, 2.0],
+    [0.3, -0.3, 0.3, 1.0, -1.0, -0.3],
+], ids=["symmetric", "asymmetric", "repeated"])
+@pytest.mark.parametrize("pot, regime", [
+    (LOGP, ScalingRegime(m=1, alpha=1.0)),
+    (WALL, ScalingRegime(m=3, beta=1.0)),
+], ids=["log-m1", "wall-m3"])
+def test_probe_sweep_reuses_mirror_values(monkeypatch, pot, regime, gammas):
+    eps_grid = [1e-1, 1e-3]
+    calls = []
+    paired_ball = hamiltonians._paired_ball
+    monkeypatch.setattr(hamiltonians, "_paired_ball",
+                        lambda *a, **kw: calls.append(a) or paired_ball(*a, **kw))
+    rows, per_max = quartic_probe_sweep(pot, regime, 2.0, 2.0, eps_grid, gammas)
+    # one probe per mirror pair (and per repeated gamma) and eps
+    assert len(calls) == len(eps_grid) * len({abs(g) for g in gammas})
+    assert [(e, g) for e, g, _ in rows] == [(e, g) for e in eps_grid
+                                            for g in gammas]
+    for eps, gamma, val in rows:
+        ref = quartic_probe_value(pot, 2.0, gamma, eps,
+                                  regime.alpha_of_eps(eps))
+        assert val == ref, (eps, gamma)
+    for eps in eps_grid:
+        assert per_max[eps] == max(0.0, *(v for e, _, v in rows if e == eps))

@@ -285,6 +285,82 @@ def test_envelope_matches_dense_reference(monkeypatch, case):
         assert abs(well - ref.env[k]) <= 1e-15 * scale
 
 
+def _dense_abs_sweep(xs, phi, K):
+    """One dense sweep with the band's arithmetic (** 4 on absolute offsets)
+    and the first arg-min center: the band must match it bit for bit."""
+    y0 = harness._env_blocks(xs, phi, K)[0]
+    wells = K * np.abs(xs[None, :] - y0[:, None]) ** 4
+    wells += np.max(phi[None, :] - wells, axis=1)[:, None]
+    best = np.argmin(wells, axis=0)
+    return wells[best, np.arange(len(xs))], y0[best]
+
+
+def _band_phi(kind, xs):
+    rng = np.random.default_rng(len(xs))
+    return {"sine": 0.3 * np.sin(3 * xs),
+            "noise": rng.uniform(-0.05, 0.05, len(xs)),
+            "kink-cubic": -np.abs(xs) + 0.1 * xs ** 3,
+            "walk": np.cumsum(rng.normal(0.0, 0.05, len(xs))),
+            # wells that tie with the own center to rounding
+            "plateau": np.full(len(xs), 1e12)}[kind]
+
+
+_BAND_N = (17, 257, 700)
+_BAND_K = (1e-2, 1.0, 4.0, 1e3, 1e6, 1e8)
+_BAND_PHI = ("sine", "noise", "kink-cubic", "walk", "plateau")
+
+
+@pytest.mark.parametrize("n", _BAND_N)
+@pytest.mark.parametrize("K", _BAND_K)
+@pytest.mark.parametrize("kind", _BAND_PHI)
+def test_envelope_band_matches_dense_reference(kind, K, n):
+    xs = np.linspace(-2, 2, n)
+    phi = _band_phi(kind, xs)
+    env, centers = harness._quartic_env_values(xs, phi, K)
+    ref_env, ref_centers = _dense_abs_sweep(xs, phi, K)
+    assert env.tobytes() == ref_env.tobytes()
+    assert centers.tobytes() == ref_centers.tobytes()
+    # against the signed-offset reference, as the blocked sweep is checked
+    ref_env, ref_centers = _dense_reference(xs, phi, K)
+    scale = max(1.0, float(np.max(np.abs(phi))))
+    assert np.max(np.abs(env - ref_env)) <= 1e-15 * scale
+    for k in np.flatnonzero(centers != ref_centers):
+        y0 = centers[k]
+        well = K * (xs[k] - y0) ** 4 + np.max(phi - K * (xs - y0) ** 4)
+        assert abs(well - ref_env[k]) <= 1e-15 * scale
+
+
+def test_envelope_band_cases_include_pads_wider_than_the_band():
+    # the rule for pad centers matters where n_pad exceeds the band
+    wide = []
+    for n in _BAND_N:
+        xs = np.linspace(-2, 2, n)
+        for K in _BAND_K:
+            for kind in _BAND_PHI:
+                phi = _band_phi(kind, xs)
+                n_pad = (len(harness._env_blocks(xs, phi, K)[0]) - n) // 2
+                band = np.ceil((np.ptp(phi) / K) ** 0.25 / (xs[1] - xs[0])) + 2
+                if n_pad > band and band < n:
+                    wide.append((kind, K, n))
+    assert wide
+
+
+def test_envelope_counts_its_wells():
+    xs = np.linspace(-2, 2, 512)
+    phi = 0.3 * np.sin(3 * xs)
+    we = quartic_envelope(xs, phi, 4.0)
+    # the widest pad is the first sweep's, at the least K
+    dense = len(harness._env_blocks(xs, phi, 4.0)[0]) * len(xs)
+    assert we.sweeps > 1
+    assert we.wells < 0.25 * we.sweeps * dense
+    # a feasible input whose band covers the grid: one dense sweep
+    xs = np.linspace(-3, 3, 401)
+    phi = -np.abs(xs)
+    we = quartic_envelope(xs, phi, 1e-3)
+    assert we.feasible and we.sweeps == 1
+    assert we.wells == len(harness._env_blocks(xs, phi, 1e-3)[0]) * len(xs)
+
+
 @pytest.mark.parametrize("xs, phi, K", [
     (np.linspace(-2, 2, 64), np.zeros(64), -1.0),
     (np.linspace(-2, 2, 64), np.zeros(64), 0.0),
