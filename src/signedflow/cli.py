@@ -17,7 +17,7 @@ from .dynamics import IntegratorOptions, simulate
 from .errors import SignedFlowError
 from .hamiltonians import TestFunction, quartic_probe_sweep, rhs_convergence_table
 from .harness import (ExperimentConfig, convergence_csv, fit_collision_exponent,
-                      run_convergence, solve_limit_equation)
+                      quantile_particles, run_convergence, solve_limit_equation)
 from .potentials import audit_assumptions, make_potential
 
 EXIT_OK = 0
@@ -35,7 +35,6 @@ def _cmd_simulate(args) -> int:
     st0 = cfg.particles() if (cfg.initial or {}).get("kind") == "particles" \
         else None
     if st0 is None:
-        from .harness import quantile_particles
         st0 = quantile_particles(cfg.density(), int(cfg.n_list[0]))
     res = simulate(st0, pot, reg.alpha_of(st0.n), fld, cfg.t_end,
                    IntegratorOptions(rk_tol=cfg.tolerances["rk_tol"]),

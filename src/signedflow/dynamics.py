@@ -58,7 +58,8 @@ applied, so they keep their order.
 ``rk_tol``, ``h_min`` and ``h_init``.  The step ceiling and the event radii
 are fixed module constants: GAP_FACTOR, COLLISION_RADIUS, CLUSTER_FACTOR and
 H_COLLISION_FLOOR, with SPACING_TOL checked after each event and MAX_STEPS
-bounding the attempts of a run.
+bounding the attempts of a run.  ``stability_experiment`` compares the runs
+at COMPARE_TIMES evenly spaced times.
 """
 
 from __future__ import annotations
@@ -213,6 +214,7 @@ CLUSTER_FACTOR = 8.0        # cluster radius = factor * trigger radius
 H_COLLISION_FLOOR = 1e-13   # smallest gap-capped step before an event fires
 SPACING_TOL = 1e-12         # least charged spacing after an event
 MAX_STEPS = 2_000_000       # step attempts per run
+COMPARE_TIMES = 200         # times at which stability_experiment compares runs
 
 # embedded pairs of ``simulate``: (stage rows, weights, error weights, q).
 # Row s gives stage s + 1 from the stages before it; the weights give the
@@ -928,7 +930,7 @@ class StabilityReport:
 def stability_experiment(state0: ParticleState, sigmas, pot: Potential,
                          alpha: float, field: ExternalField | None,
                          t_end: float, opts: IntegratorOptions = IntegratorOptions(),
-                         n_compare: int = 200, seed: int = 0,
+                         seed: int = 0,
                          exclusion_halfwidth: float = 0.05) -> StabilityReport:
     """Perturb x0 by uniform noise of amplitude sigma and g by the constant
     sigma; report sup-over-time distances to the baseline, minimized over
@@ -943,7 +945,7 @@ def stability_experiment(state0: ParticleState, sigmas, pot: Potential,
     vanish as sigma does (at a scenario-dependent rate), while the charge
     outcome is eventually identical modulo cluster relabeling.
     """
-    taus = np.linspace(state0.t, t_end, n_compare)
+    taus = np.linspace(state0.t, t_end, COMPARE_TIMES)
     base = simulate(state0, pot, alpha, field, t_end, opts, t_eval=taus)
     base_taus = [ev.tau for ev in base.events]
     rng = np.random.default_rng(seed)

@@ -22,6 +22,10 @@ rho0, the first crossing on either side, the increment stays inside
 Far fields are piecewise-constant staircases (exact sums) or clamped smooth
 probes (crossing sums up to the freeze radius, exact constant tails); both
 tails close with V_alpha'(inf) = 0.
+
+An increment without known critical radii is split into monotone pieces by
+a sign scan of its slope on CRIT_SAMPLES points, and every bisection
+(critical radii and level crossings) halves its brackets BISECT_ITERS times.
 """
 
 from __future__ import annotations
@@ -32,7 +36,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConvergenceError, DegenerateGradientError
-from .potentials import Potential, ScalingRegime, l1_norm, lattice_series
+from .potentials import (Potential, ScalingRegime, l1_norm, lattice_series,
+                         rescaled_derivative)
 from .staircase import Staircase, staircase_identity
 
 __all__ = [
@@ -48,6 +53,8 @@ __all__ = [
     "kernel_second_moment",
 ]
 
+CRIT_SAMPLES = 1024     # sign-scan points of a slope's zeros
+BISECT_ITERS = 50       # halvings of each bisection bracket
 _MAX_LEVELS = 8_000_000
 # crossings per block: the temporaries of a block stay in cache
 _BLOCK = 16_384
@@ -62,38 +69,31 @@ class TestFunction:
     f: callable
     d1: callable
     d2: callable
-    d3: callable = None
-    order: int = 2
 
     @staticmethod
     def sin() -> "TestFunction":
-        return TestFunction(np.sin, np.cos, lambda x: -np.sin(x),
-                            lambda x: -np.cos(x), order=3)
+        return TestFunction(np.sin, np.cos, lambda x: -np.sin(x))
 
     @staticmethod
     def linear(slope=1.0) -> "TestFunction":
         return TestFunction(
             lambda x: slope * np.asarray(x, dtype=float),
             lambda x: slope * np.ones_like(np.asarray(x, dtype=float)),
-            lambda x: np.zeros_like(np.asarray(x, dtype=float)),
-            lambda x: np.zeros_like(np.asarray(x, dtype=float)), order=4)
+            lambda x: np.zeros_like(np.asarray(x, dtype=float)))
 
     @staticmethod
     def cubic(c3=0.25, c2=0.5, c1=2.0, c0=0.0) -> "TestFunction":
         return TestFunction(
             lambda x: ((c3 * np.asarray(x, dtype=float) + c2) * x + c1) * x + c0,
             lambda x: (3 * c3 * np.asarray(x, dtype=float) + 2 * c2) * x + c1,
-            lambda x: 6 * c3 * np.asarray(x, dtype=float) + 2 * c2,
-            lambda x: 6 * c3 * np.ones_like(np.asarray(x, dtype=float)),
-            order=3)
+            lambda x: 6 * c3 * np.asarray(x, dtype=float) + 2 * c2)
 
     @staticmethod
     def quadratic(c2=0.5, c1=0.0, c0=0.0) -> "TestFunction":
         return TestFunction(
             lambda x: (c2 * np.asarray(x, dtype=float) + c1) * x + c0,
             lambda x: 2 * c2 * np.asarray(x, dtype=float) + c1,
-            lambda x: 2 * c2 * np.ones_like(np.asarray(x, dtype=float)),
-            lambda x: np.zeros_like(np.asarray(x, dtype=float)), order=4)
+            lambda x: 2 * c2 * np.ones_like(np.asarray(x, dtype=float)))
 
     @staticmethod
     def shifted_quartic(K: float, gamma: float) -> "TestFunction":
@@ -114,9 +114,7 @@ class TestFunction:
             return 4 * K * (w * w * w)
 
         return TestFunction(
-            f, d1,
-            lambda z: 12 * K * (np.asarray(z, dtype=float) + gamma) ** 2,
-            lambda z: 24 * K * (np.asarray(z, dtype=float) + gamma), order=4)
+            f, d1, lambda z: 12 * K * (np.asarray(z, dtype=float) + gamma) ** 2)
 
 
 @dataclass(frozen=True)
@@ -149,17 +147,12 @@ class ClampedProbe:
 # kernel antiderivatives: int V'' = dV', int z V'' = d(z V' - V)
 # ---------------------------------------------------------------------------
 
-def _vp(pot: Potential, alpha: float, z):
-    """V_alpha'(z) = alpha^2 V'(alpha z) at finite z, odd in z."""
-    return alpha ** 2 * pot.deriv(alpha * np.asarray(z, dtype=float), 1)
-
-
 def _vp_bounds(pot: Potential, alpha: float, bounds):
-    """``_vp`` at the bounds of far-field pieces, 0 at an infinite bound,
+    """V_alpha' at the bounds of far-field pieces, 0 at an infinite bound,
     where V_alpha' vanishes: a custom potential need not return 0 there."""
     out = np.zeros(len(bounds))
     fin = np.isfinite(bounds)
-    out[fin] = _vp(pot, alpha, bounds[fin])
+    out[fin] = rescaled_derivative(pot, alpha, bounds[fin], 1)
     return out
 
 
@@ -185,22 +178,22 @@ def _scalar(fn, r: float) -> float:
     return float(np.asarray(fn(np.array([r])), dtype=float)[0])
 
 
-def _critical_radii(dg, lo: float, hi: float, samples: int = 1024):
+def _critical_radii(dg, lo: float, hi: float):
     """Zeros of dg on (lo, hi) from a sign scan refined by bisection."""
     if hi <= lo:
         return []
-    rs = np.linspace(lo, hi, samples)
+    rs = np.linspace(lo, hi, CRIT_SAMPLES)
     sign = np.sign(np.asarray(dg(rs), dtype=float))
     k = np.flatnonzero(sign[:-1] * sign[1:] < 0)
     return _bisect_levels(dg, rs[k], rs[k + 1], 0.0).tolist() if len(k) else []
 
 
-def _bisect_levels(g, zlo, zhi, levels, iters: int = 50):
+def _bisect_levels(g, zlo, zhi, levels):
     """Vectorized bisection for g(z) = level on brackets [zlo, zhi]."""
     lo = zlo.copy()
     hi = zhi.copy()
     flo = np.asarray(g(lo), dtype=float) - levels
-    for _ in range(iters):
+    for _ in range(BISECT_ITERS):
         mid = 0.5 * (lo + hi)
         fm = np.asarray(g(mid), dtype=float) - levels
         west = flo * fm <= 0
@@ -297,7 +290,7 @@ def _crossing_sum(pot: Potential, alpha: float, eps: float, blocks,
     """int^hi of the E-steps sigma*eps at the crossings (r, sigma) against
     V_alpha'': eps * sum sigma (V_alpha'(hi) - V_alpha'(r)), int V'' = dV';
     and the least crossing radius, hi if there is none."""
-    vp_hi = float(_vp(pot, alpha, hi))
+    vp_hi = float(rescaled_derivative(pot, alpha, hi, 1))
     total, least = 0.0, hi
     for radii, sign in blocks:
         # the radii start at the first level, so V_alpha' is evaluated on
@@ -388,7 +381,7 @@ def _tail_quantized(far, x: float, pot: Potential, rho: float, eps: float,
             # E on (rho, first crossing), then its steps at the crossings
             e0 = staircase_identity(_scalar(g, 0.5 * (rho + first)), eps,
                                     envelope)
-            vp = _vp(pot, alpha, [rho, r_hi])
+            vp = rescaled_derivative(pot, alpha, [rho, r_hi], 1)
             total += e0 * float(vp[1] - vp[0]) + steps
         e = staircase_identity(incr, eps, envelope)
         total += float(np.sum(e * np.diff(_vp_bounds(pot, alpha, bounds))))
@@ -428,7 +421,7 @@ def _compensated_ball(psi: TestFunction, x: float, pot: Potential, rho: float,
 
     def integrand(z):
         return ((_scalar(psi.f, x + z) - f0 - s0 * z)
-                * alpha ** 3 * pot.deriv(alpha * abs(z), 2))
+                * rescaled_derivative(pot, alpha, abs(z), 2))
 
     with np.errstate(over="ignore"):
         val, err = integrate.quad(integrand, -rho, rho, points=[0.0],
@@ -450,7 +443,7 @@ def _tail_raw(far, x: float, pot: Potential, rho: float, alpha: float,
         if smooth is not None:
             g, _, r_hi = smooth
             val, _ = integrate.quad(
-                lambda r: _scalar(g, r) * alpha ** 3 * pot.deriv(alpha * r, 2),
+                lambda r: _scalar(g, r) * rescaled_derivative(pot, alpha, r, 2),
                 rho, r_hi, epsabs=quad_tol, epsrel=1e-9, limit=400)
             total += val
         total += float(np.sum(incr * np.diff(_vp_bounds(pot, alpha, bounds))))

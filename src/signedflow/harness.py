@@ -5,6 +5,11 @@ Particle initial data comes from a signed density via quantile placement:
 each sign s gets round(n * mass_s) particles at the (i - 1/2)/n_s quantiles
 of its normalized component, interleaved by position, which makes the
 cumulative charge converge uniformly to the density's primitive.
+
+Fixed numerics are module constants: the envelope touches phi within
+TOUCH_TOL max(1, max|phi|) and bisects K up to K_CAP; the exponent fit drops
+the DROP_DECADES decades nearest the collision, fits the next FIT_DECADES and
+bootstraps N_BOOT resamples drawn with BOOT_SEED.
 """
 
 from __future__ import annotations
@@ -223,6 +228,8 @@ class ExperimentConfig:
 # quartic-well envelope
 # ---------------------------------------------------------------------------
 
+TOUCH_TOL = 1e-8       # touch tolerance, relative to max(1, max|phi|)
+K_CAP = 1e8            # the bisection of the least feasible K stops here
 _ENV_BLOCK = 65_536
 # centers per block: a block's columns span the bands of all its
 # centers, so fewer rows evaluate fewer wells outside any band
@@ -309,7 +316,8 @@ def _env_blocks(xs, phi, K):
 
 def _quartic_env_values(xs, phi, K):
     # c(y0) = max_z (phi(z) - K (z - y0)^4); env(x) = min_y0 K(x-y0)^4 + c(y0).
-    # Returns env and, per sample, the center attaining the minimum.
+    # Returns env, per sample the center attaining the minimum, and the
+    # count of (center, sample) wells evaluated.
     # Each block of centers meets only the samples of its band (_env_blocks),
     # its temporaries in cache; a later block takes a column only where it is
     # strictly lower, so env and the first arg-min center match one dense
@@ -318,7 +326,9 @@ def _quartic_env_values(xs, phi, K):
     env = np.full(len(xs), np.inf)
     best = np.zeros(len(xs), dtype=np.intp)
     buf = np.empty(_ENV_BLOCK)
+    wells = 0
     for r0, r1, c0, c1 in blocks:
+        wells += (r1 - r0) * (c1 - c0)
         w = buf[:(r1 - r0) * (c1 - c0)].reshape(r1 - r0, c1 - c0)
         # K |x - y0|^4 in place: numpy's ** on the negative offsets is tens
         # of times slower than on their absolute values
@@ -333,19 +343,18 @@ def _quartic_env_values(xs, phi, K):
         lower = low < env[c0:c1]
         env[c0:c1][lower] = low[lower]
         best[c0:c1][lower] = r0 + arg[lower]
-    return env, y0[best]
+    return env, y0[best], wells
 
 
-def quartic_envelope(xs, phi, K: float, touch_tol: float = 1e-8,
-                     k_hi: float = 1e8) -> WellEnvelope:
+def quartic_envelope(xs, phi, K: float) -> WellEnvelope:
     """Pointwise infimum of translated quartics K(x - y0)^4 + c majorizing
     the samples; the result has quartic wells with constant K by construction.
 
     Where the envelope cannot touch (curvature spike exceeding what K can
-    wrap), the minimal feasible K on this grid is bisected and reported.
-    Each sweep meets a block of candidate centers only with the samples of
-    their bands, which narrow as K grows; ``sweeps`` and ``wells`` count the
-    work.
+    wrap), the minimal feasible K on this grid, at most K_CAP, is bisected
+    and reported.  Each sweep meets a block of candidate centers only with
+    the samples of their bands, which narrow as K grows; ``sweeps`` and
+    ``wells`` count the work.
     """
     xs = np.asarray(xs, dtype=float)
     phi = np.asarray(phi, dtype=float)
@@ -362,32 +371,30 @@ def quartic_envelope(xs, phi, K: float, touch_tol: float = 1e-8,
         raise DataError("xs must be strictly increasing and evenly spaced")
     if not np.all(np.isfinite(phi)):
         raise DataError("phi must be finite")
+    scale = max(1.0, float(np.max(np.abs(phi))))
     sweeps = wells = 0
 
     def sweep(k):
+        """(env, centers, touched) at k, counted in sweeps and wells."""
         nonlocal sweeps, wells
+        env, centers, n_wells = _quartic_env_values(xs, phi, k)
         sweeps += 1
-        wells += sum((r1 - r0) * (c1 - c0)
-                     for r0, r1, c0, c1 in _env_blocks(xs, phi, k)[1])
-        return _quartic_env_values(xs, phi, k)
+        wells += n_wells
+        return env, centers, env <= phi + TOUCH_TOL * scale
 
-    env, centers = sweep(K)
-    scale = max(1.0, float(np.max(np.abs(phi))))
-    touched = env <= phi + touch_tol * scale
+    env, centers, touched = sweep(K)
     min_k = None
     if not np.all(touched):
         lo, hi = K, K
-        while hi < k_hi:
+        while hi < K_CAP:
             hi *= 4.0
-            e, _ = sweep(hi)
-            if np.all(e <= phi + touch_tol * scale):
+            if np.all(sweep(hi)[2]):
                 break
         else:
             raise DataError("no feasible K below the bisection cap")
         for _ in range(48):
             mid = math.sqrt(lo * hi)
-            e, _ = sweep(mid)
-            if np.all(e <= phi + touch_tol * scale):
+            if np.all(sweep(mid)[2]):
                 hi = mid
             else:
                 lo = mid
@@ -430,7 +437,7 @@ def solve_limit_equation(cfg: ExperimentConfig, m: int | None = None,
     return solve_local(u0, m, pot, reg.beta, fld, cfg.t_end, t_eval=t_eval)
 
 
-def run_convergence(cfg: ExperimentConfig, progress=None) -> dict:
+def run_convergence(cfg: ExperimentConfig) -> dict:
     """Simulate each n, solve the limit equation once, and compare the
     cumulative charge staircases with the grid solution in sup norm.
 
@@ -471,8 +478,6 @@ def run_convergence(cfg: ExperimentConfig, progress=None) -> dict:
                 notes.append(f"n={n}, t={tk:g}: {outside} charged particles "
                              f"outside the comparison window "
                              f"[{window[0]:.4g}, {window[1]:.4g}]")
-        if progress:
-            progress(n)
 
     slack = tol["slack"]
     for tk in cfg.snapshot_times:
@@ -507,6 +512,12 @@ def convergence_csv(report: dict) -> str:
 # collision-exponent fits
 # ---------------------------------------------------------------------------
 
+DROP_DECADES = 1.0     # decades of time-to-collision nearest tau, dropped
+FIT_DECADES = 2.0      # decades fitted after them
+N_BOOT = 200           # bootstrap resamples of the confidence interval
+BOOT_SEED = 0
+
+
 @dataclass
 class ExponentFit:
     slope: float
@@ -519,14 +530,11 @@ class ExponentFit:
         return self.__dict__.copy()
 
 
-def fit_exponent_from_series(times, gaps, tau: float,
-                             drop_decades: float = 1.0,
-                             use_decades: float = 2.0,
-                             n_boot: int = 200, seed: int = 0) -> ExponentFit:
+def fit_exponent_from_series(times, gaps, tau: float) -> ExponentFit:
     """Log-log slope of the gap against time-to-collision.
 
-    The decade closest to tau is dropped (event-location error dominates
-    there); the fit uses the next ``use_decades`` decades.  Bootstrap
+    The DROP_DECADES closest to tau are dropped (event-location error
+    dominates there); the fit uses the next FIT_DECADES.  Bootstrap
     resampling gives the confidence interval.
     """
     times = np.asarray(times, dtype=float)
@@ -538,19 +546,19 @@ def fit_exponent_from_series(times, gaps, tau: float,
         raise DataError("not enough gap samples before the collision")
     ld = np.log10(s)
     lo = ld.min()
-    if ld.max() - lo < drop_decades + use_decades:
-        raise DataError(
-            f"need {drop_decades + use_decades:.1f} decades of time-to-collision "
-            f"data, have {ld.max() - lo:.2f}")
-    win = (ld >= lo + drop_decades) & (ld <= lo + drop_decades + use_decades)
+    end = DROP_DECADES + FIT_DECADES
+    if ld.max() - lo < end:
+        raise DataError(f"need {end:.1f} decades of time-to-collision data, "
+                        f"have {ld.max() - lo:.2f}")
+    win = (ld >= lo + DROP_DECADES) & (ld <= lo + end)
     if np.count_nonzero(win) < 6:
         raise DataError("fit window holds fewer than 6 samples")
     lx, ly = np.log(s[win]), np.log(g[win])
     slope = float(np.polyfit(lx, ly, 1)[0])
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(BOOT_SEED)
     boots = []
     idx = np.arange(len(lx))
-    for _ in range(n_boot):
+    for _ in range(N_BOOT):
         pick = rng.choice(idx, size=len(idx), replace=True)
         if len(np.unique(lx[pick])) < 2:
             continue
@@ -558,25 +566,21 @@ def fit_exponent_from_series(times, gaps, tau: float,
     lo_ci, hi_ci = (np.percentile(boots, [2.5, 97.5]) if boots
                     else (slope, slope))
     return ExponentFit(slope, float(lo_ci), float(hi_ci),
-                       int(np.count_nonzero(win)),
-                       (drop_decades, drop_decades + use_decades))
+                       int(np.count_nonzero(win)), (DROP_DECADES, end))
 
 
-def fit_collision_exponent(result, event_index: int = 0,
-                           **fit_kwargs) -> ExponentFit:
+def fit_collision_exponent(result) -> ExponentFit:
     """Fit the shrinking-gap exponent from a simulation's diagnostics.
 
-    Uses the recorded minimal opposite-sign gap in the inter-event window
-    before the chosen event: close to the collision that gap belongs to the
-    collapsing pair.
+    Uses the recorded minimal opposite-sign gap before the first event:
+    close to the collision that gap belongs to the collapsing pair.
     """
     events = result.events.events
     if not events:
         raise DataError("simulation recorded no collision events")
-    tau = events[event_index].tau
-    t_prev = events[event_index - 1].tau if event_index > 0 else -math.inf
+    tau = events[0].tau
     d = result.diagnostics
     times = np.asarray(d.t)
     gaps = np.asarray(d.min_opposite_gap)
-    keep = (times > t_prev) & (times < tau)
-    return fit_exponent_from_series(times[keep], gaps[keep], tau, **fit_kwargs)
+    keep = times < tau
+    return fit_exponent_from_series(times[keep], gaps[keep], tau)

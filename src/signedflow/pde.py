@@ -34,6 +34,11 @@ Only the far field far[u] + U' is an explicit velocity, upwinded on its sign
 one kind of step, an explicit monotone transport followed by an M-matrix
 solve: constants are preserved and the discrete maximum principle holds at
 any dt within the transport bound, however large the ball term's slopes.
+
+The solvers' fixed numerics are module constants: MOBILITY_TOL, the
+tolerance of the local mobility (||V||_L1 at m = 2, the lattice tables at
+m = 3), NEWTON_MAX_ITERS and NEWTON_RTOL of the implicit step, and
+VELOCITY_GUARD on the explicit velocity.
 """
 
 from __future__ import annotations
@@ -44,11 +49,18 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 
 from .errors import ConvergenceError, DataError
-from .potentials import ExternalField, Potential, ScalingRegime, l1_norm, mobility
+from .potentials import (ExternalField, Potential, ScalingRegime, l1_norm,
+                         mobility, rescaled_derivative)
 from .hamiltonians import kernel_second_moment
 
 __all__ = ["GridFunction", "solve_local", "solve_nonlocal",
            "density_from_primitive", "MobilityTable"]
+
+MOBILITY_TOL = 1e-8     # tolerance of the local solver's mobility
+NEWTON_MAX_ITERS = 50
+NEWTON_RTOL = 1e-12     # Newton stops once its update is below this * max|u|
+VELOCITY_GUARD = 1e8    # an explicit velocity above this means a gradient blowup
+STEP_LIMITS = ("move", "advection", "snapshot", "t_end")
 
 
 @dataclass(frozen=True)
@@ -130,8 +142,9 @@ class MobilityTable:
     f linearly and ``g_of`` is the exact integral of that interpolant,
     piecewise quadratic, so ``g_of' = f_of`` to rounding: Newton's method in
     ``solve_local`` stalls without it.  Beyond the table f holds its end
-    value and G continues linearly.  ``build`` samples the even f_m on the
-    half line; p = 0 is a node, so an m = 2 table is exact for c|p|.
+    value and G continues linearly.  ``build`` samples the even f_m, to
+    MOBILITY_TOL, on the half line; p = 0 is a node, so an m = 2 table is
+    exact for c|p|.
     """
 
     ps: np.ndarray
@@ -140,9 +153,10 @@ class MobilityTable:
 
     @staticmethod
     def build(pot: Potential, regime: ScalingRegime, p_max: float,
-              num: int = 2049, tol: float = 1e-8) -> "MobilityTable":
+              num: int = 2049) -> "MobilityTable":
         half = np.linspace(0.0, p_max, (num + 1) // 2)
-        fh = np.array([mobility(pot, regime, float(p), tol) for p in half])
+        fh = np.array([mobility(pot, regime, float(p), MOBILITY_TOL)
+                       for p in half])
         gh = _cumulative_trapezoid(fh, half)
         ps = np.concatenate([-half[::-1][:-1], half])
         f = np.concatenate([fh[::-1][:-1], fh])
@@ -173,12 +187,6 @@ class MobilityTable:
 # time loop, shared step (explicit upwind transport + implicit flux form)
 # and local solver
 # ---------------------------------------------------------------------------
-
-NEWTON_MAX_ITERS = 50
-NEWTON_RTOL = 1e-12     # Newton stops once its update is below this * max|u|
-VELOCITY_GUARD = 1e8    # an explicit velocity above this means a gradient blowup
-STEP_LIMITS = ("move", "advection", "snapshot", "t_end")
-
 
 def _field_on_grid(field: ExternalField | None, u0: GridFunction) -> np.ndarray:
     """U' at the grid nodes, zero without a field."""
@@ -321,8 +329,7 @@ def _abs_mobility(c: float):
 
 def solve_local(u0: GridFunction, m: int, pot: Potential, beta: float,
                 field: ExternalField | None, t_end: float,
-                cfl_safety: float = 0.45, mobility_tol: float = 1e-8,
-                t_eval=None):
+                cfl_safety: float = 0.45, t_eval=None):
     """Advance u_t = f_m(u_x) u_xx + U'|u_x| to t_end (m = 2 or 3).
 
     Implicit Euler in the diffusion, explicit upwinding in the transport (see
@@ -334,7 +341,7 @@ def solve_local(u0: GridFunction, m: int, pot: Potential, beta: float,
         raise ValueError("local solver covers m = 2 and m = 3")
     uprime = _field_on_grid(field, u0)
     if m == 2:
-        mobility = _abs_mobility(l1_norm(pot, mobility_tol))
+        mobility = _abs_mobility(l1_norm(pot, MOBILITY_TOL))
 
         def prepare(u, d):
             return mobility, uprime
@@ -346,8 +353,7 @@ def solve_local(u0: GridFunction, m: int, pot: Potential, beta: float,
             nonlocal table
             d_max = float(np.max(np.abs(d), initial=0.0))
             if table is None or d_max > table.p_max:
-                table = MobilityTable.build(pot, regime, max(2.0 * d_max, 1.0),
-                                            tol=mobility_tol)
+                table = MobilityTable.build(pot, regime, max(2.0 * d_max, 1.0))
             return table, uprime
 
     return _march(u0, t_end, t_eval, cfl_safety, prepare)
@@ -370,8 +376,8 @@ def _farfield_kernels(pot: Potential, alpha: float, dx: float, n: int,
     weigh zero, so V is only evaluated at |z| >= k_off dx.
     """
     z = dx * np.arange(k_off, n)               # annulus edges, right of x_i
-    vp = alpha ** 2 * pot.deriv(alpha * z, 1)
-    w = z * vp - alpha * pot.deriv(alpha * z, 0)
+    vp = rescaled_derivative(pot, alpha, z, 1)
+    w = z * vp - rescaled_derivative(pot, alpha, z, 0)
     d_vp, d_w = np.diff(vp), np.diff(w)         # segments k = k_off .. n-2
     ball = np.zeros(2 * (n - 1 - len(d_vp)))
     # the mirror segment k' = -1 - k has dVp(k') = dVp(k), dW(k') = -dW(k)
@@ -409,8 +415,8 @@ def solve_nonlocal(u0: GridFunction, pot: Potential, alpha: float,
     # constant tails beyond the grid (or beyond the ball for edge nodes)
     r_left = np.maximum(rho_eff, xs - xs[0])
     r_right = np.maximum(rho_eff, xs[-1] - xs)
-    vp_left = np.abs(alpha ** 2 * pot.deriv(alpha * r_left, 1))
-    vp_right = np.abs(alpha ** 2 * pot.deriv(alpha * r_right, 1))
+    vp_left = np.abs(rescaled_derivative(pot, alpha, r_left, 1))
+    vp_right = np.abs(rescaled_derivative(pot, alpha, r_right, 1))
 
     uprime = _field_on_grid(field, u0)
 

@@ -26,6 +26,12 @@ evaluated at x clamped to 400, beyond which each is below the smallest
 subnormal double (so they return exactly 0 there) and past which np.sinh
 leaves its fast path.  V' equals -1/x to double precision down to where
 that overflows.
+
+Fixed numerics are module constants: ScalingRegime.validate checks n up to
+REGIME_N_MAX to the relative tolerance REGIME_TOL, check_lipschitz samples
+LIPSCHITZ_GRID and allows the bound times LIPSCHITZ_SLACK, lattice_series
+sums at most LATTICE_TERMS_MAX terms, and the audits' grids and thresholds
+are the constants from AUDIT_GRID on.
 """
 
 from __future__ import annotations
@@ -294,6 +300,13 @@ def make_potential(spec: dict) -> Potential:
 # Scaling regimes and external fields
 # ---------------------------------------------------------------------------
 
+REGIME_N_MAX = 10 ** 6      # ScalingRegime.validate checks n = 100 .. this
+REGIME_TOL = 0.05           # its relative tolerance on alpha and beta
+LIPSCHITZ_GRID = (-10.0, 10.0, 2001)    # check_lipschitz's samples of U'
+LIPSCHITZ_SLACK = 1.01
+LATTICE_TERMS_MAX = 2 ** 20     # lattice_series sums at most this many terms
+
+
 @dataclass(frozen=True)
 class ScalingRegime:
     """How the rescaling parameter grows with the particle count.
@@ -339,12 +352,12 @@ class ScalingRegime:
             return eps ** -0.5
         return self.beta / eps
 
-    def validate(self, n_max: int = 10 ** 6, tol: float = 0.05) -> None:
-        """Numeric check of the limit behavior of alpha_n up to n_max."""
-        ns = [10 ** k for k in range(2, int(math.log10(n_max)) + 1)]
+    def validate(self) -> None:
+        """Numeric check of the limit behavior of alpha_n up to REGIME_N_MAX."""
+        ns = [10 ** k for k in range(2, int(math.log10(REGIME_N_MAX)) + 1)]
         a = [self.alpha_of(n) for n in ns]
         if self.m == 1:
-            if abs(a[-1] - self.alpha) > tol * self.alpha:
+            if abs(a[-1] - self.alpha) > REGIME_TOL * self.alpha:
                 raise ValueError("m=1 requires alpha_n -> alpha")
         elif self.m == 2:
             if not (a[-1] > a[0] and a[-1] > 30.0):
@@ -352,7 +365,7 @@ class ScalingRegime:
             if not (a[-1] / ns[-1] < 0.05 and a[-1] / ns[-1] < a[0] / ns[0]):
                 raise ValueError("m=2 requires alpha_n / n -> 0")
         else:
-            if abs(a[-1] / ns[-1] - self.beta) > tol * self.beta:
+            if abs(a[-1] / ns[-1] - self.beta) > REGIME_TOL * self.beta:
                 raise ValueError("m=3 requires alpha_n / n -> beta")
 
 
@@ -368,12 +381,12 @@ class ExternalField:
     def g(self, x):
         return -np.asarray(self.uprime(x), dtype=float)
 
-    def check_lipschitz(self, lo: float = -10.0, hi: float = 10.0,
-                        num: int = 2001, slack: float = 1.01) -> bool:
-        xs = np.linspace(lo, hi, num)
+    def check_lipschitz(self) -> bool:
+        xs = np.linspace(*LIPSCHITZ_GRID)
         up = np.asarray(self.uprime(xs), dtype=float)
         slopes = np.abs(np.diff(up) / np.diff(xs))
-        return bool(np.all(slopes <= self.lipschitz_bound_uprime * slack + 1e-15))
+        return bool(np.all(slopes <= self.lipschitz_bound_uprime * LIPSCHITZ_SLACK
+                           + 1e-15))
 
 
 def zero_field() -> ExternalField:
@@ -458,13 +471,12 @@ def _probe_nonintegrable_end(pot: Potential) -> str:
     return "tail"
 
 
-def lattice_series(pot: Potential, x: float, tol: float = 1e-10,
-                   k_max: int = 2 ** 20) -> float:
+def lattice_series(pot: Potential, x: float, tol: float = 1e-10) -> float:
     """Sum over k >= 1 of k^2 V''(k x), truncated with a certified tail bound.
 
     The tail beyond K is bounded by (1/|x|) * int_{K|x|}^inf (z+|x|)^2 E2(z) dz
     with E2 the decreasing envelope of |V''|; truncation stops once this
-    bound drops below tol.
+    bound drops below tol, at K <= LATTICE_TERMS_MAX.
     """
     from scipy import integrate
 
@@ -503,7 +515,7 @@ def lattice_series(pot: Potential, x: float, tol: float = 1e-10,
         if b < tol:
             break
         k *= 2
-        if k > k_max:
+        if k > LATTICE_TERMS_MAX:
             raise ConvergenceError(
                 f"lattice series tail bound stuck above tol={tol:g} at K={k}")
     ks = np.arange(1, k + 1, dtype=float)
@@ -695,24 +707,14 @@ def audit_assumptions(pot: Potential, profile: str) -> ComplianceReport:
             {"x_Vpp_at": {f"{x:.1e}": float(v) for x, v in zip(xs[::4], xv[::4])}}))
         return ComplianceReport(pot.name, profile, items)
 
-    if profile == "hj1":
-        items.append(_order_item(pot, 3))
-        ev = _converging_integral(lambda x: x ** 2 * pot.deriv(x, 2),
-                                  ORIGIN_DECADES, "origin")
-        items.append(ComplianceItem(
-            "x2_Vpp_L1_origin", "pass" if ev["converged"] else "fail", ev))
-        if pot.max_order >= 3:
-            ev3 = _converging_integral(
-                lambda x: x ** 3 * float(pot.envelope(x, 3)),
-                ORIGIN_DECADES, "origin")
-            items.append(ComplianceItem(
-                "x3_V3_L1_origin", "pass" if ev3["converged"] else "fail", ev3))
-        return ComplianceReport(pot.name, profile, items)
+    def converging_item(name, fn, n_decades, end):
+        ev = _converging_integral(fn, n_decades, end)
+        return ComplianceItem(name, "pass" if ev["converged"] else "fail", ev)
 
-    # hj2 / hj3 share the tail ledger
-    order_needed = 3 if profile == "hj2" else 4
-    items.append(_order_item(pot, order_needed))
+    def x3_v3(x):
+        return x ** 3 * float(pot.envelope(x, 3))
 
+    items.append(_order_item(pot, 4 if profile == "hj3" else 3))
     if profile == "hj2":
         try:
             v = l1_norm(pot, 1e-8)
@@ -726,31 +728,24 @@ def audit_assumptions(pot: Potential, profile: str) -> ComplianceReport:
                 "x4_V3_to_0_origin",
                 "pass" if (x4v3[0] < 0.1 * max(x4v3[-1], 1e-12) or x4v3[0] < 1e-10) else "fail",
                 {"values": [float(v) for v in x4v3[::4]]}))
-            ev3o = _converging_integral(
-                lambda x: x ** 3 * float(pot.envelope(x, 3)),
-                ORIGIN_DECADES, "origin")
-            items.append(ComplianceItem(
-                "x3_V3_L1_origin", "pass" if ev3o["converged"] else "fail", ev3o))
     else:
-        ev2 = _converging_integral(lambda x: x ** 2 * pot.deriv(x, 2),
-                                   ORIGIN_DECADES, "origin")
-        items.append(ComplianceItem(
-            "x2_Vpp_L1_origin", "pass" if ev2["converged"] else "fail", ev2))
+        items.append(converging_item("x2_Vpp_L1_origin",
+                                     lambda x: x ** 2 * pot.deriv(x, 2),
+                                     ORIGIN_DECADES, "origin"))
+    if profile != "hj3" and pot.max_order >= 3:
+        items.append(converging_item("x3_V3_L1_origin", x3_v3,
+                                     ORIGIN_DECADES, "origin"))
+    if profile == "hj1":
+        return ComplianceReport(pot.name, profile, items)
 
-    for k in range(0, 4):
-        if k > pot.max_order:
-            break
-        ev = _converging_integral(lambda x, k=k: abs(pot.deriv(x, k)),
-                                  TAIL_DECADES, "tail")
-        items.append(ComplianceItem(
-            f"tail_W31_order_{k}", "pass" if ev["converged"] else "fail", ev))
-
+    # hj2 / hj3 share the tail ledger
+    for k in range(0, min(pot.max_order, 3) + 1):
+        items.append(converging_item(f"tail_W31_order_{k}",
+                                     lambda x, k=k: abs(pot.deriv(x, k)),
+                                     TAIL_DECADES, "tail"))
     if pot.max_order >= 3:
-        ev3t = _converging_integral(
-            lambda x: x ** 3 * float(pot.envelope(x, 3)),
-            TAIL_DECADES, "tail")
-        items.append(ComplianceItem(
-            "x3_V3_L1_tail", "pass" if ev3t["converged"] else "fail", ev3t))
+        items.append(converging_item("x3_V3_L1_tail", x3_v3,
+                                     TAIL_DECADES, "tail"))
 
     if profile == "hj3":
         for k in (3, 4):

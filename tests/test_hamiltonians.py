@@ -10,8 +10,9 @@ from signedflow import (ClampedProbe, DegenerateGradientError,
                         TestFunction, compensated_nonlocal,
                         kernel_second_moment, limiting_rhs, log_potential,
                         quantized_nonlocal, quartic_probe_sweep,
-                        quartic_probe_value, rhs_convergence_table,
-                        staircase_identity, wall_potential)
+                        quartic_probe_value, rescaled_derivative,
+                        rhs_convergence_table, staircase_identity,
+                        wall_potential)
 from signedflow import hamiltonians
 
 PI2_3 = math.pi ** 2 / 3.0
@@ -96,7 +97,7 @@ def _reference_ball(phi, x, pot, rho, eps, alpha, envelope="upper",
     grid = np.unique(np.concatenate([[rho0], radii, [rho]]))
     mids = 0.5 * (grid[:-1] + grid[1:])
     e_sum = sum(staircase_identity(g(mids), eps, envelope) for g, _, _ in sides)
-    vp = hamiltonians._vp(pot, alpha, grid)
+    vp = rescaled_derivative(pot, alpha, grid, 1)
     pieces = [e_sum[-1] * vp[-1], -e_sum[0] * vp[0]]
     pieces.extend((-np.diff(e_sum) * vp[1:-1]).tolist())
     return math.fsum(pieces)
@@ -259,8 +260,7 @@ def test_monotone_in_probe():
     phi = TestFunction(
         lambda z: np.sin(z) + (z - 0.3) ** 2,
         lambda z: np.cos(z) + 2 * (z - 0.3),
-        lambda z: -np.sin(z) + 2.0,
-        lambda z: -np.cos(z), order=3)
+        lambda z: -np.sin(z) + 2.0)
     params = HamiltonianParams(rho=1.0, eps=1e-3, alpha_eps=1.0)
     far = Staircase.constant(0.0)
     _, a = quantized_nonlocal(phi, far, 0.3, LOGP, params, parts=True)
@@ -321,12 +321,10 @@ def test_limit_m2_quarter_pi():
 
 def test_limit_m3_sign_symmetric():
     # equal |phi'| and phi'' with opposite slope signs give equal values
-    up = TestFunction(lambda z: np.sin(z), np.cos,
-                      lambda z: -np.sin(z), lambda z: -np.cos(z), order=3)
+    up = TestFunction(lambda z: np.sin(z), np.cos, lambda z: -np.sin(z))
     dn = TestFunction(lambda z: -np.sin(-z) - 2 * np.sin(z) + np.sin(z),
                       lambda z: -np.cos(z),
-                      lambda z: np.sin(z) * 0 - np.sin(z),
-                      lambda z: np.cos(z) * 0 - np.cos(z), order=3)
+                      lambda z: np.sin(z) * 0 - np.sin(z))
     x = 0.4
     a = limiting_rhs(up, x, 3, WALL, 1.0)
     # direct formula with flipped slope sign

@@ -237,7 +237,8 @@ def test_envelope_well_property_can_fail():
 
 def _dense_reference(xs, phi, K):
     """The dense envelope sweep with ** 4 on the signed offsets, as first
-    written; the reference for the sweep on absolute offsets."""
+    written; the reference for the sweep on absolute offsets.  Returns env,
+    the arg-min centers and the count of wells, every (center, sample)."""
     dx = xs[1] - xs[0]
     slope_max = float(np.max(np.abs(np.diff(phi)))) / dx
     pad = 1.5 * (slope_max / (4.0 * K)) ** (1.0 / 3.0) + 2.0 * dx
@@ -249,7 +250,7 @@ def _dense_reference(xs, phi, K):
     wells = K * (xs[None, :] - y0[:, None]) ** 4 + c[:, None]
     best = np.argmin(wells, axis=0)
     env = wells[best, np.arange(len(xs))]
-    return env, y0[best]
+    return env, y0[best], wells.size
 
 
 def _envelope_inputs():
@@ -316,12 +317,13 @@ _BAND_PHI = ("sine", "noise", "kink-cubic", "walk", "plateau")
 def test_envelope_band_matches_dense_reference(kind, K, n):
     xs = np.linspace(-2, 2, n)
     phi = _band_phi(kind, xs)
-    env, centers = harness._quartic_env_values(xs, phi, K)
+    env, centers, wells = harness._quartic_env_values(xs, phi, K)
     ref_env, ref_centers = _dense_abs_sweep(xs, phi, K)
     assert env.tobytes() == ref_env.tobytes()
     assert centers.tobytes() == ref_centers.tobytes()
     # against the signed-offset reference, as the blocked sweep is checked
-    ref_env, ref_centers = _dense_reference(xs, phi, K)
+    ref_env, ref_centers, dense = _dense_reference(xs, phi, K)
+    assert wells <= dense
     scale = max(1.0, float(np.max(np.abs(phi))))
     assert np.max(np.abs(env - ref_env)) <= 1e-15 * scale
     for k in np.flatnonzero(centers != ref_centers):
@@ -359,6 +361,14 @@ def test_envelope_counts_its_wells():
     we = quartic_envelope(xs, phi, 1e-3)
     assert we.feasible and we.sweeps == 1
     assert we.wells == len(harness._env_blocks(xs, phi, 1e-3)[0]) * len(xs)
+
+
+def test_envelope_reports_no_feasible_K_below_the_cap(monkeypatch):
+    # this input's least feasible K is about 1.88e6
+    xs = np.linspace(-2, 2, 512)
+    monkeypatch.setattr(harness, "K_CAP", 1e6)
+    with pytest.raises(DataError, match="no feasible K below the bisection cap"):
+        quartic_envelope(xs, 0.3 * np.sin(3 * xs), 4.0)
 
 
 @pytest.mark.parametrize("xs, phi, K", [

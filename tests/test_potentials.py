@@ -13,6 +13,7 @@ from signedflow import (ConvergenceError, NonIntegrableError, ScalingRegime,
                         custom_potential, l1_norm, lattice_series,
                         log_potential, mobility, power_law_force_potential,
                         rescaled_derivative, riesz_potential, wall_potential)
+from signedflow import potentials
 from signedflow.potentials import ExternalField, make_field
 
 PI2_3 = math.pi ** 2 / 3.0
@@ -279,6 +280,13 @@ def test_lattice_series_truncation_self_consistent():
 def test_lattice_series_diverges_for_riesz():
     with pytest.raises(ConvergenceError):
         lattice_series(riesz_potential(0.5), 1.0, tol=1e-10)
+
+
+def test_lattice_series_reports_a_stuck_tail_bound(monkeypatch):
+    # the wall's series at x = 0.05 needs far more than 8 terms for 1e-9
+    monkeypatch.setattr(potentials, "LATTICE_TERMS_MAX", 8)
+    with pytest.raises(ConvergenceError, match="stuck above tol=1e-09 at K=16"):
+        lattice_series(wall_potential(), 0.05, tol=1e-9)
 
 
 # ---------------------------------------------------------------------------
