@@ -53,6 +53,7 @@ def _cmd_simulate(args) -> int:
           f"{s['accepted']} accepted steps, {s['rejected']} rejected, "
           f"{s['force_evals']} force evaluations, "
           f"{s['pair_evals']} pairs swept by them, "
+          f"{s['unordered_sweeps']} chunk sweeps of unordered points, "
           f"{s['gap_capped']} steps set by the gap cap, "
           f"{s['contact_scaled']} shrunk by the time to contact, "
           f"{s['snapshot_capped']} by a snapshot time, "

@@ -48,6 +48,14 @@ farther.  Power and log tails, and runs whose charged span is within the
 cutoff plus the skin, sweep every pair, as ``velocities`` and ``energy``
 always do.
 
+The pair list runs one offset at a time, all (i, i + 1), then all
+(i, i + 2), and so on, so a band is a prefix of the list of every pair.  The
+force sweep forms d = x_j - x_i, i < j, which is positive at an ordered
+point, and weighs each pair by alpha^2 b_i b_j V'(alpha d).  A chunk whose d
+are all positive evaluates V' at d; any other chunk, at a stage point that
+is not ordered, evaluates at |d| and multiplies by sign(d).  That sign is
+exactly 1 at an ordered point, so both forms give it the same bits.
+
 Each committed step (the start of a segment between events, and every
 accepted step) yields one diagnostics row.  The integrator only buffers the
 positions and neighbor gaps of a commit; the rows are computed a block at a
@@ -291,7 +299,8 @@ class SimulationResult:
     # the gap cap (gap_capped), the next snapshot time (snapshot_capped) or
     # t_end (end_capped) set, error control the rest, and the commits where
     # a shrinking time to contact shrank error control's proposal
-    # (contact_scaled)
+    # (contact_scaled), and the chunk sweeps of the force kernel at points
+    # that were not ordered (unordered_sweeps)
     stats: dict
 
     def trajectory_csv(self) -> str:
@@ -326,8 +335,11 @@ def velocities(state: ParticleState, pot: Potential, alpha: float,
 
 def energy(state: ParticleState, pot: Potential, alpha: float,
            field: ExternalField | None = None) -> float:
-    """Interaction energy (1/n^2) sum_{i>j} b_i b_j V_alpha(x_i - x_j)
-    plus (1/n) sum_i b_i U(x_i); the dynamics is its gradient flow."""
+    """Interaction energy (1/n^2) sum_{i<j} b_i b_j V_alpha(|x_j - x_i|)
+    plus (1/n) sum_i b_i U(x_i); the dynamics is its gradient flow.
+
+    Positions need not be sorted: each pair is evaluated at its distance.
+    """
     seg = _checked_segment(state, pot, alpha, field)
     return float(seg.energy(seg.xc[None])[0])
 
@@ -448,7 +460,7 @@ _SKIN = 0.25
 
 # a band is built narrower only when it keeps at most this share of the pairs
 # it replaces: rebuilding the pair list costs about half of one force sweep
-# over it (0.32 against 0.66 ms at m = 300, w = 123), so a band that saves
+# over it (0.15 against 0.32 ms at m = 300, w = 123), so a band that saves
 # an eighth of each sweep pays for itself within about one step of three or
 # four sweeps
 _NARROW = 0.875
@@ -464,15 +476,19 @@ def _gaps(x):
 
 
 def _band_pairs(m, w):
-    """Pairs (i, j) with i < j <= i + w of m particles, row by row, as
-    contiguous index arrays; w = m - 1 gives every pair, equal to
-    ``np.triu_indices(m, 1)``.  Row i holds min(w, m - 1 - i) pairs, and its
-    j run from i + 1 on."""
-    counts = np.minimum(w, np.arange(m - 1, -1, -1))
-    i = np.repeat(np.arange(m), counts)
+    """Pairs (i, j) with i < j <= i + w of m particles, one offset at a time,
+    as contiguous index arrays: all (i, i + 1), then all (i, i + 2), up to
+    offset w, each offset in increasing i.  The list of band w is therefore a
+    prefix of the list of every pair, w = m - 1.
+
+    Within a chunk of the sweep consecutive pairs then add into different
+    bins of ``np.bincount`` on both the i and the j side; row by row, up to
+    w consecutive adds would go into the one bin of their i."""
+    offsets = np.arange(1, min(w, m - 1) + 1)
+    counts = m - offsets
     starts = np.cumsum(counts) - counts
-    j = np.arange(len(i)) + np.repeat(np.arange(1, m + 1) - starts, counts)
-    return i, j
+    i = np.arange(int(counts.sum())) - np.repeat(starts, counts)
+    return i, i + np.repeat(offsets, counts)
 
 
 def _band_cutoff(pot, alpha, rk_tol):
@@ -500,18 +516,21 @@ def _band_cutoff(pot, alpha, rk_tol):
 class _Segment:
     """Charged subsystem between two events: fixed index set, fast kernels.
 
-    Forces and energy sweep a list of pairs i < j, in fixed chunks of
-    ``_PAIR_CHUNK``.  The evaluators are defined on (0, inf) only, so each
-    chunk evaluates at |x_i - x_j| and applies the sign afterwards; stage
-    points of the integrator need not be ordered.  ``rhs`` runs under its
-    caller's ``np.errstate(**_KERNEL_ERRSTATE)``.
+    Forces and energy sweep a list of pairs i < j, one offset j - i after
+    another (``_band_pairs``), in fixed chunks of ``_PAIR_CHUNK``.  The
+    evaluators are defined on (0, inf) only.  ``rhs`` forms d = x_j - x_i
+    per chunk: when every d is positive it evaluates at d, otherwise, since
+    stage points of the integrator need not be ordered, at |d| with the sign
+    applied afterwards, and ``unordered_sweeps`` counts those chunk sweeps.
+    ``energy`` always evaluates at |d|.  ``rhs`` runs under its caller's
+    ``np.errstate(**_KERNEL_ERRSTATE)``.
 
-    The pair list is every pair, row by row, unless ``simulate`` gives a
-    finite cutoff radius r (``_band_cutoff``).  While the charged span is
-    within r plus the skin s = ``_SKIN`` r, the band would hold every pair,
-    and each commit costs one comparison to check that.  Once the span is
-    wider, the list is a band: the pairs j - i <= w of the charged particles
-    in spatial order, with w from ``searchsorted`` on the committed
+    The pair list is every pair unless ``simulate`` gives a finite cutoff
+    radius r (``_band_cutoff``).  While the charged span is within r plus
+    the skin s = ``_SKIN`` r, the band would hold every pair, and each
+    commit costs one comparison to check that.  Once the span is wider, the
+    list is a band: the pairs j - i <= w of the charged particles in
+    spatial order, with w from ``searchsorted`` on the committed
     positions ``ref`` at radius r + s.  A pair left out then has
     ref_j - ref_i > r + s.  At a point x with |x_k - ref_k| <= s / 2 for
     every k, stage points included, whether ordered or not, such a pair is
@@ -556,6 +575,7 @@ class _Segment:
         self.pending = []
         self.budget = max(1, _DIAG_BUFFER // max(1, 2 * self.m - 1))
         self.pair_evals = 0
+        self.unordered_sweeps = 0
         # band radius and skin in positions; ref stays None while every pair
         # is swept unchecked, base is the last commit
         self.radius = radius
@@ -573,8 +593,9 @@ class _Segment:
             self._set_pairs(self.w)
 
     def _set_pairs(self, w):
-        """Sweep the pairs j - i <= w; (i, j, alpha b_i b_j, -alpha^2 b_i b_j)
-        per chunk.  b_i b_j = +-1, so folding alpha in leaves every product
+        """Sweep the pairs j - i <= w in the order of ``_band_pairs``, one
+        offset after another; (i, j, alpha b_i b_j, alpha^2 b_i b_j) per
+        chunk.  b_i b_j = +-1, so folding alpha in leaves every product
         unchanged."""
         iu, ju = _band_pairs(self.m, w)
         self.w, self.n_pairs = w, len(iu)
@@ -582,7 +603,7 @@ class _Segment:
         for s in range(0, len(iu), _PAIR_CHUNK):
             i, j = iu[s:s + _PAIR_CHUNK], ju[s:s + _PAIR_CHUNK]
             q = self.bc[i] * self.bc[j]
-            self.chunks.append((i, j, q * self.alpha, q * (-(self.alpha ** 2))))
+            self.chunks.append((i, j, q * self.alpha, q * self.alpha ** 2))
 
     def _watch_span(self):
         """Start the band once the last commit spans more than r + s."""
@@ -611,8 +632,13 @@ class _Segment:
         m = self.m
         acc = np.zeros(m)
         for i, j, _, qf in self.chunks:
-            d = xc[i] - xc[j]
-            w = qf * self.d1(self.alpha * np.abs(d)) * np.sign(d)
+            d = xc[j] - xc[i]
+            # a nan fails the test and takes the general form
+            if d.min() > 0:
+                w = qf * self.d1(self.alpha * d)
+            else:
+                w = qf * self.d1(self.alpha * np.abs(d)) * np.sign(d)
+                self.unordered_sweeps += 1
             acc += np.bincount(i, w, m)
             acc -= np.bincount(j, w, m)
         acc /= self.n
@@ -623,10 +649,11 @@ class _Segment:
     def energy(self, xs):
         """Energy of each row of the (rows, m) block ``xs``.
 
-        Blocks of rows are swept together so that no temporary exceeds
-        ``_PAIR_CHUNK`` points; each row sums its chunks in the same order.
-        ``take`` gathers a block's columns at a third of the cost of fancy
-        indexing, a block of one row is swept as a 1-D row to save call
+        Each pair is evaluated at |x_j - x_i|, so the rows need not be
+        ordered.  Blocks of rows are swept together so that no temporary
+        exceeds ``_PAIR_CHUNK`` points; each row sums its chunks in the same
+        order.  ``take`` gathers a block's columns at a third of the cost of
+        fancy indexing, a block of one row is swept as a 1-D row to save call
         overhead, and the evaluators are given flat arrays.
         """
         e = np.zeros(len(xs))
@@ -720,7 +747,7 @@ def simulate(state0: ParticleState, pot: Potential, alpha: float,
     t, x, b = state0.t, state0.x, state0.b
     stats = {"accepted": 0, "rejected": 0, "force_evals": 0, "pair_evals": 0,
              "gap_capped": 0, "snapshot_capped": 0, "end_capped": 0,
-             "contact_scaled": 0}
+             "contact_scaled": 0, "unordered_sweeps": 0}
 
     with np.errstate(**_KERNEL_ERRSTATE):
         while True:
@@ -821,6 +848,7 @@ def simulate(state0: ParticleState, pot: Potential, alpha: float,
 
             seg.flush()
             stats["pair_evals"] += seg.pair_evals
+            stats["unordered_sweeps"] += seg.unordered_sweeps
             if event is None:
                 break  # reached t_end
             tau, clusters = event

@@ -92,6 +92,22 @@ def test_simulate_writes_stats(tmp_path, capsys):
     assert f"{st['pair_evals']} pairs swept" in summary
 
 
+def test_simulate_reports_unordered_sweeps(tmp_path, capsys):
+    cfg = _write_cfg(tmp_path, {
+        "initial": {"kind": "particles", "x": [-0.5, 0.5], "b": [1, -1]},
+        "potential": {"kind": "log"},
+        "regime": {"m": 1, "alpha": 1.0},
+        "t_end": 0.6,
+    })
+    stats = tmp_path / "stats.json"
+    assert main(["simulate", "--config", str(cfg), "--stats", str(stats)]) == 0
+    st = json.loads(stats.read_text())
+    # one chunk per evaluation: at most one general-form sweep each
+    assert 0 <= st["unordered_sweeps"] <= st["force_evals"]
+    assert (f"{st['unordered_sweeps']} chunk sweeps of unordered points"
+            in capsys.readouterr().out)
+
+
 def test_pde_subcommand(tmp_path, capsys):
     cfg = _write_cfg(tmp_path)
     out = tmp_path / "grid.csv"

@@ -16,8 +16,9 @@ from signedflow import (InvariantViolationError, IntegratorOptions,
                         detect_collision, energy, log_potential,
                         power_law_force_potential, riesz_potential, simulate,
                         stability_experiment, velocities, wall_potential)
-from signedflow.dynamics import (GAP_FACTOR, H_COLLISION_FLOOR, _band_cutoff,
-                                 _band_pairs, _Segment, _event_radii)
+from signedflow.dynamics import (GAP_FACTOR, H_COLLISION_FLOOR,
+                                 _KERNEL_ERRSTATE, _band_cutoff, _band_pairs,
+                                 _Segment, _event_radii)
 from signedflow.potentials import ExternalField, make_field, zero_field
 
 
@@ -108,10 +109,11 @@ def _pair_reference(st, pot, alpha, fld):
     return vel, scale, math.fsum(e_pairs), math.fsum(abs(v) for v in e_pairs)
 
 
-@pytest.mark.parametrize("case", ["field", "unordered"])
+@pytest.mark.parametrize("case", ["field", "unordered", "unordered-far"])
 @pytest.mark.parametrize("potname", ["log", "wall", "riesz", "power"])
 def test_pair_kernel_matches_double_loop(potname, case):
-    # 200 charged particles: 19,900 pairs, several chunks of the pair sweep
+    # 200 charged particles: 19,900 pairs, several chunks of the pair sweep;
+    # the chunks holding a crossed pair take the |d| / sign form
     pot = {"log": log_potential(), "wall": wall_potential(),
            "riesz": riesz_potential(0.5),
            "power": power_law_force_potential(0.5)}[potname]
@@ -127,6 +129,10 @@ def test_pair_kernel_matches_double_loop(potname, case):
     assert abs(e - ref_e) <= 1e-12 * ref_escale
     seg = _Segment(st.x, st.b, pot, alpha, fld)
     assert seg.energy(seg.xc[None]).tolist() == [e]
+    with np.errstate(**_KERNEL_ERRSTATE):
+        seg.rhs(seg.xc)
+    assert seg.unordered_sweeps == {"field": 0, "unordered": 1,
+                                    "unordered-far": 2}[case]
 
 
 @pytest.mark.parametrize("shift", [0.99, 3.0])
@@ -161,31 +167,63 @@ def test_pair_kernel_matches_double_loop_banded(shift):
 
 @pytest.mark.parametrize("m", [0, 1, 2, 7, 64])
 def test_band_pairs_match_mask_construction(m):
-    # reference: the upper band of an m x m mask, gathered row by row
+    # reference: the upper band of an m x m mask, its pairs stably sorted by
+    # offset j - i, so one diagonal after another, each in increasing i
+    full = _band_pairs(m, m - 1)
     for w in range(min(m - 1, 0), m):
         band = np.tri(m, m, w, dtype=bool) & ~np.tri(m, m, 0, dtype=bool)
-        ref = [np.broadcast_to(ix, band.shape)[band]
-               for ix in np.indices(band.shape, sparse=True)]
+        ri, rj = [np.broadcast_to(ix, band.shape)[band]
+                  for ix in np.indices(band.shape, sparse=True)]
+        order = np.argsort(rj - ri, kind="stable")
         got = _band_pairs(m, w)
-        for g, r in zip(got, ref):
+        for g, r, f in zip(got, (ri[order], rj[order]), full):
             assert g.dtype == r.dtype and g.tolist() == r.tolist(), (m, w)
             assert g.flags.c_contiguous
-    iu, ju = _band_pairs(m, m - 1)
-    assert [iu.tolist(), ju.tolist()] == [a.tolist() for a in np.triu_indices(m, 1)]
+            # the band is a prefix of the list of every pair
+            assert f[:len(g)].tolist() == g.tolist(), (m, w)
+    assert sorted(zip(*full)) == sorted(zip(*np.triu_indices(m, 1)))
+
+
+@pytest.mark.parametrize("case", ["log", "banded"])
+def test_ordered_sweep_matches_general_form_bitwise(case):
+    # at an ordered point every chunk takes qf d1(alpha d) with d > 0; the
+    # sign there is exactly 1, so the sum must be the general |d| / sign form
+    # over the same chunks in the same order, bit for bit
+    if case == "log":
+        pot, alpha, radius = log_potential(), 2.0, np.inf
+    else:
+        pot, alpha = wall_potential(), 60.0
+        radius = _band_cutoff(pot, alpha, 1e-9)
+    st = _kernel_config("banded" if case == "banded" else "field")
+    seg = _Segment(st.x, st.b, pot, alpha, None, radius=radius)
+    assert len(seg.chunks) > 1 and (seg.w < seg.m - 1) == (case == "banded")
+    x = seg.xc
+    ref = np.zeros(seg.m)
+    for i, j, _, qf in seg.chunks:
+        d = x[j] - x[i]
+        w = qf * pot.derivs[1](alpha * np.abs(d)) * np.sign(d)
+        ref += np.bincount(i, w, seg.m)
+        ref -= np.bincount(j, w, seg.m)
+    ref /= seg.n
+    assert seg.rhs(x).tobytes() == ref.tobytes()
+    assert seg.unordered_sweeps == 0
 
 
 def _kernel_config(case):
     """200 charged particles of random sign and 30 neutral ones in [-1, 1],
     at random positions or, for ``banded``, evenly spaced; for
-    ``unordered``, one charged pair is swapped, as at a stage point."""
+    ``unordered``, one charged pair is swapped, as at a stage point, and for
+    ``unordered-far`` two charges 60 slots apart, so that the crossed pairs
+    lie on offsets 1 to 60, in two chunks of the pair sweep."""
     rng = np.random.default_rng(11)
     x = np.sort(rng.uniform(-1.0, 1.0, 230))
     if case == "banded":
         x = np.linspace(-1.0, 1.0, 230)
     b = rng.choice([-1, 1], 230)
     b[rng.choice(230, 30, replace=False)] = 0
-    if case == "unordered":
-        i, j = np.flatnonzero(b)[[100, 101]]
+    if case.startswith("unordered"):
+        slots = [100, 101] if case == "unordered" else [70, 130]
+        i, j = np.flatnonzero(b)[slots]
         x[i], x[j] = x[j], x[i]
     return ParticleState(0.0, x, b)
 
