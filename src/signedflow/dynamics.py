@@ -478,13 +478,13 @@ def _gaps(x):
 def _band_pairs(m, w):
     """Pairs (i, j) with i < j <= i + w of m particles, one offset at a time,
     as contiguous index arrays: all (i, i + 1), then all (i, i + 2), up to
-    offset w, each offset in increasing i.  The list of band w is therefore a
+    offset w <= m - 1, each offset in increasing i.  The list of band w is therefore a
     prefix of the list of every pair, w = m - 1.
 
     Within a chunk of the sweep consecutive pairs then add into different
     bins of ``np.bincount`` on both the i and the j side; row by row, up to
     w consecutive adds would go into the one bin of their i."""
-    offsets = np.arange(1, min(w, m - 1) + 1)
+    offsets = np.arange(1, w + 1)
     counts = m - offsets
     starts = np.cumsum(counts) - counts
     i = np.arange(int(counts.sum())) - np.repeat(starts, counts)
