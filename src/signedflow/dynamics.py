@@ -15,10 +15,14 @@ pair while the segment holds an opposite-sign neighbour pair, which may
 collide and whose steps are set by accuracy, and the Bogacki-Shampine 3(2)
 pair on a single-sign segment, whose steps are set by the stiffness of the
 repulsion, where the lower order costs fewer evaluations.  Both are
-first-same-as-last.  The step after an attempt with error norm err is
-0.9 err^(-1/q) times the last one, clipped to [0.2, 5], with q the order of
-the pair's error estimate plus one; near a collision the step after an
-accepted one is also scaled by the time to contact, as below.
+first-same-as-last and run through one attempt function, ``_rk_attempt``.
+Each commit sets the next step once: 0.9 err^(-1/q) times the last one,
+clipped to [0.2, 5] (err the last error norm, q the order of the pair's
+error estimate plus one), scaled by the time to contact near a collision, as
+below, then clipped to the gap cap, the next snapshot time and ``t_end``,
+and kept above 1e-16 max(1, |t|).  A rejection only shrinks the step, by the
+same factor, to no less than H_MIN and that floor; a rejection at that size
+raises StiffnessError.
 
 Close to a collision the shrinking gap d of an opposite pair follows
 d^(2+a) affine in t (a = singularity exponent of the force).  The fit of
@@ -62,12 +66,13 @@ positions and neighbor gaps of a commit; the rows are computed a block at a
 time, when the buffer is full and when the segment ends, before its event is
 applied, so they keep their order.
 
-``IntegratorOptions`` sets the three step-control values a caller may tune:
-``rk_tol``, ``h_min`` and ``h_init``.  The step ceiling and the event radii
-are fixed module constants: GAP_FACTOR, COLLISION_RADIUS, CLUSTER_FACTOR and
-H_COLLISION_FLOOR, with SPACING_TOL checked after each event and MAX_STEPS
-bounding the attempts of a run.  ``stability_experiment`` compares the runs
-at COMPARE_TIMES evenly spaced times.
+``IntegratorOptions`` holds the one step-control value a caller may tune,
+``rk_tol``.  The rest are fixed module constants: the first step of a
+segment H_INIT, the least step H_MIN, the step ceiling and event radii
+GAP_FACTOR, COLLISION_RADIUS, CLUSTER_FACTOR and H_COLLISION_FLOOR, with
+SPACING_TOL checked after each event and MAX_STEPS bounding the attempts of
+a run.  ``stability_experiment`` compares the runs at COMPARE_TIMES evenly
+spaced times.
 """
 
 from __future__ import annotations
@@ -222,48 +227,46 @@ CLUSTER_FACTOR = 8.0        # cluster radius = factor * trigger radius
 H_COLLISION_FLOOR = 1e-13   # smallest gap-capped step before an event fires
 SPACING_TOL = 1e-12         # least charged spacing after an event
 MAX_STEPS = 2_000_000       # step attempts per run
+H_INIT = 1e-4               # first step tried after the start and each event
+H_MIN = 1e-14               # a rejected step this small raises StiffnessError
 COMPARE_TIMES = 200         # times at which stability_experiment compares runs
 
 # embedded pairs of ``simulate``: (stage rows, weights, error weights, q).
 # Row s gives stage s + 1 from the stages before it; the weights give the
 # step, and the error weights (solution minus embedded weights) the error
 # estimate, whose last entry is for the first stage of the next step; q is
-# the order of the error estimate plus one.  Tuples of floats, so that
-# importing the module builds no array.
-_BS3 = (((0.5,), (0.0, 0.75)),
-        (2 / 9, 1 / 3, 4 / 9),
-        (-5 / 72, 1 / 12, 1 / 9, -1 / 8),
+# the order of the error estimate plus one.
+_BS3 = ([np.array([0.5]), np.array([0.0, 0.75])],
+        np.array([2 / 9, 1 / 3, 4 / 9]),
+        np.array([-5 / 72, 1 / 12, 1 / 9, -1 / 8]),
         3)
-_DP5 = (((1 / 5,),
-         (3 / 40, 9 / 40),
-         (44 / 45, -56 / 15, 32 / 9),
-         (19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729),
-         (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656)),
-        (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84),
-        (71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525,
-         -1 / 40),
+_DP5 = ([np.array([1 / 5]),
+         np.array([3 / 40, 9 / 40]),
+         np.array([44 / 45, -56 / 15, 32 / 9]),
+         np.array([19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729]),
+         np.array([9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176,
+                   -5103 / 18656])],
+        np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784,
+                  11 / 84]),
+        np.array([71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200,
+                  22 / 525, -1 / 40]),
         5)
 
 
 @dataclass(frozen=True)
 class IntegratorOptions:
-    """Step control of ``simulate``.
-
-    ``rk_tol`` is the error tolerance of a step, relative to 1 + |x_i|;
-    ``h_min`` is the step below which a rejected step raises StiffnessError;
-    ``h_init`` is the first step tried after the start and after each event.
-    The event and ceiling parameters are the module constants GAP_FACTOR,
+    """Step control of ``simulate``: its one setting, ``rk_tol``, is the
+    error tolerance of a step, relative to 1 + |x_i|.  The first step H_INIT,
+    the least step H_MIN and the event and ceiling parameters GAP_FACTOR,
     COLLISION_RADIUS, CLUSTER_FACTOR, H_COLLISION_FLOOR, SPACING_TOL and
-    MAX_STEPS.
+    MAX_STEPS are module constants.
     """
 
     rk_tol: float = 1e-9
-    h_min: float = 1e-14
-    h_init: float = 1e-4
 
     def __post_init__(self):
-        if not all(v > 0 for v in (self.rk_tol, self.h_min, self.h_init)):
-            raise ValueError("rk_tol, h_min and h_init must be positive")
+        if not self.rk_tol > 0:
+            raise ValueError("rk_tol must be positive")
 
 
 def _event_radii(exponent: float):
@@ -574,6 +577,7 @@ class _Segment:
         self.diag = diag
         self.pending = []
         self.budget = max(1, _DIAG_BUFFER // max(1, 2 * self.m - 1))
+        self.evals = 0
         self.pair_evals = 0
         self.unordered_sweeps = 0
         # band radius and skin in positions; ref stays None while every pair
@@ -628,6 +632,7 @@ class _Segment:
             spread = float(np.abs(xc - self.ref).max())
             if self.half_skin < spread < np.inf:
                 self._build_band(float(np.abs(xc - self.base).max()))
+        self.evals += 1
         self.pair_evals += self.n_pairs
         m = self.m
         acc = np.zeros(m)
@@ -752,22 +757,21 @@ def simulate(state0: ParticleState, pot: Potential, alpha: float,
     with np.errstate(**_KERNEL_ERRSTATE):
         while True:
             seg = _Segment(x, b, pot, alpha, field, diag, radius)
-            rows, weights, err_weights, q = _DP5 if len(seg.opp) else _BS3
-            rows = [np.array(r) for r in rows]
-            weights, err_weights = np.array(weights), np.array(err_weights)
+            tab = _DP5 if len(seg.opp) else _BS3
+            *_, err_weights, q = tab
             # the stages of one attempt, the last one at the trial point
             ks = np.empty((len(err_weights), seg.m))
             xc = seg.xc
             gaps = _gaps(xc)
             ks[0] = seg.rhs(xc)
-            stats["force_evals"] += 1
-            h = opts.h_init
+            h = H_INIT
             t_prev, prev_dp, tc_prev = t, None, np.inf
             event = None
             while True:
                 # commit (t, xc), the segment start or an accepted step: one
                 # buffered diagnostics row, the step ceiling and error scale
-                # for the next step, the event check and the snapshots due
+                # for the next step, the event check, the snapshots due and
+                # the next step, set here once
                 seg.record(t, xc, gaps)
                 opp_gaps = gaps[seg.opp]
                 d_min = float(opp_gaps.min()) if len(opp_gaps) else np.inf
@@ -797,48 +801,39 @@ def simulate(state0: ParticleState, pot: Potential, alpha: float,
                     snapshots.append(seg.state(tv, xc))
                 if event is not None or t >= t_end - 1e-300:
                     break
+                h_err = h
+                h = min(h, h_cap, t_end - t)
+                if eval_queue:
+                    h = min(h, eval_queue[0] - t)
+                floor = 1e-16 * max(1.0, abs(t))
+                h = max(h, floor)
+                # the bound that set h, if one clipped it; a tie goes to the
+                # first of gap cap, snapshot time and t_end
+                if h < h_err:
+                    if h == h_cap:
+                        stats["gap_capped"] += 1
+                    elif eval_queue and h == eval_queue[0] - t:
+                        stats["snapshot_capped"] += 1
+                    elif h == t_end - t:
+                        stats["end_capped"] += 1
 
+                # attempts until one is accepted: a rejection only shrinks
+                # h, so no bound above binds again
                 while True:
-                    # one attempt of the segment's pair, first-same-as-last
                     if stats["accepted"] + stats["rejected"] >= MAX_STEPS:
                         raise StiffnessError("step budget exhausted",
                                              {"t": t, "n_charged": seg.m})
-                    h_err = h
-                    h = min(h, h_cap, t_end - t)
-                    if eval_queue:
-                        h = min(h, eval_queue[0] - t)
-                    h = max(h, 1e-16 * max(1.0, abs(t)))
-                    # the bound that set h, if one clipped it; a tie goes to
-                    # the first of gap cap, snapshot time and t_end
-                    if h < h_err:
-                        if h == h_cap:
-                            stats["gap_capped"] += 1
-                        elif eval_queue and h == eval_queue[0] - t:
-                            stats["snapshot_capped"] += 1
-                        elif h == t_end - t:
-                            stats["end_capped"] += 1
-                    for s, row in enumerate(rows, 1):
-                        ks[s] = seg.rhs(xc + h * (row @ ks[:s]))
-                    stats["force_evals"] += len(rows)
-                    x_new = xc + h * (weights @ ks[:len(weights)])
-                    new_gaps = _gaps(x_new)
-                    err_norm = np.inf
-                    # a nan gap fails the test, like a non-positive one
-                    if seg.m < 2 or new_gaps.min() > 0:
-                        ks[-1] = seg.rhs(x_new)
-                        stats["force_evals"] += 1
-                        err = h * np.abs(err_weights @ ks)
-                        err_norm = float((err / scale).max()) if seg.m else 0.0
-                        if not math.isfinite(err_norm):
-                            err_norm = np.inf
+                    x_new, new_gaps, err_norm = _rk_attempt(tab, seg, xc, ks,
+                                                            h, scale)
                     if err_norm <= 1.0:
                         break
                     stats["rejected"] += 1
-                    if h <= opts.h_min:
+                    if h <= max(H_MIN, floor):
                         raise StiffnessError(
                             f"step underflow at t={t:.6g} without a collision",
                             {"t": t, "h": h, "min_opposite_gap": d_min})
-                    h = max(h * max(0.2, 0.9 * err_norm ** (-1.0 / q)), opts.h_min)
+                    h = max(h * max(0.2, 0.9 * err_norm ** (-1.0 / q)),
+                            H_MIN, floor)
 
                 stats["accepted"] += 1
                 t = t + h
@@ -847,6 +842,7 @@ def simulate(state0: ParticleState, pot: Potential, alpha: float,
                 h = h * min(5.0, max(0.2, 0.9 * (err_norm + 1e-16) ** (-1.0 / q)))
 
             seg.flush()
+            stats["force_evals"] += seg.evals
             stats["pair_evals"] += seg.pair_evals
             stats["unordered_sweeps"] += seg.unordered_sweeps
             if event is None:
@@ -858,6 +854,28 @@ def simulate(state0: ParticleState, pot: Potential, alpha: float,
 
     # the last commit, at t_end, took every request: none is after t_end
     return SimulationResult(seg.state(t, xc), events, diag, snapshots, stats)
+
+
+def _rk_attempt(tab, seg, xc, ks, h, scale):
+    """One attempt of ``tab`` (``_DP5`` or ``_BS3``) from xc with step h:
+    (trial point, its neighbor gaps, error norm relative to ``scale``).
+
+    ``ks[0]`` holds the stage at xc; the attempt fills the others, the last
+    at the trial point, the next step's first.  An unordered trial point or
+    a non-finite error gives the norm inf.
+    """
+    rows, weights, err_weights, _ = tab
+    for s, row in enumerate(rows, 1):
+        ks[s] = seg.rhs(xc + h * (row @ ks[:s]))
+    x_new = xc + h * (weights @ ks[:len(weights)])
+    gaps = _gaps(x_new)
+    # a nan gap fails the test, like a non-positive one
+    if not (seg.m < 2 or gaps.min() > 0):
+        return x_new, gaps, np.inf
+    ks[-1] = seg.rhs(x_new)
+    err = h * np.abs(err_weights @ ks)
+    err_norm = float((err / scale).max()) if seg.m else 0.0
+    return x_new, gaps, err_norm if math.isfinite(err_norm) else np.inf
 
 
 def _pop_due(queue, t, tol):

@@ -65,8 +65,12 @@ class SignedDensity:
             s = int(c["sign"])
             if s not in (-1, 1):
                 raise DataError("component sign must be +-1")
-            comps.append((s, float(c["mass"]), float(c["center"]),
-                          float(c.get("width", 1.0))))
+            comp = (s, float(c["mass"]), float(c["center"]),
+                    float(c.get("width", 1.0)))
+            if not (all(map(math.isfinite, comp)) and comp[3] > 0):
+                raise DataError(f"component mass and center must be finite and "
+                                f"width finite and positive, got {comp[1:]}")
+            comps.append(comp)
         return SignedDensity(tuple(comps))
 
     def mass(self, sign: int) -> float:
@@ -179,11 +183,9 @@ class ExperimentConfig:
                    if k not in self.tolerances]
         if missing:
             raise DataError(f"tolerances lack {', '.join(missing)}")
-        for key, val in self.tolerances.items():
-            if val <= 0:
-                raise DataError(f"tolerance '{key}' must be positive")
-        if self.t_end <= 0:
-            raise DataError("t_end must be positive")
+        for key, val in {**self.tolerances, "t_end": self.t_end}.items():
+            if not (math.isfinite(val) and val > 0):
+                raise DataError(f"'{key}' must be finite and positive, got {val}")
         # a convergence check over no particle count or no time compares
         # nothing, and would pass
         if not self.n_list:

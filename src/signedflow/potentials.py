@@ -27,11 +27,10 @@ subnormal double (so they return exactly 0 there) and past which np.sinh
 leaves its fast path.  V' equals -1/x to double precision down to where
 that overflows.
 
-Fixed numerics are module constants: ScalingRegime.validate checks n up to
-REGIME_N_MAX to the relative tolerance REGIME_TOL, check_lipschitz samples
-LIPSCHITZ_GRID and allows the bound times LIPSCHITZ_SLACK, lattice_series
-sums at most LATTICE_TERMS_MAX terms, and the audits' grids and thresholds
-are the constants from AUDIT_GRID on.
+Fixed numerics are module constants: check_lipschitz samples LIPSCHITZ_GRID
+and allows the bound times LIPSCHITZ_SLACK, lattice_series sums at most
+LATTICE_TERMS_MAX terms, and the audits' grids and thresholds are the
+constants from AUDIT_GRID on.
 """
 
 from __future__ import annotations
@@ -300,8 +299,6 @@ def make_potential(spec: dict) -> Potential:
 # Scaling regimes and external fields
 # ---------------------------------------------------------------------------
 
-REGIME_N_MAX = 10 ** 6      # ScalingRegime.validate checks n = 100 .. this
-REGIME_TOL = 0.05           # its relative tolerance on alpha and beta
 LIPSCHITZ_GRID = (-10.0, 10.0, 2001)    # check_lipschitz's samples of U'
 LIPSCHITZ_SLACK = 1.01
 LATTICE_TERMS_MAX = 2 ** 20     # lattice_series sums at most this many terms
@@ -311,16 +308,15 @@ LATTICE_TERMS_MAX = 2 ** 20     # lattice_series sums at most this many terms
 class ScalingRegime:
     """How the rescaling parameter grows with the particle count.
 
-    m = 1: alpha_n -> alpha (bounded; nonlocal limit)
-    m = 2: 1 << alpha_n << n (default alpha_n = sqrt(n); local, mobility
+    m = 1: alpha_n = alpha (bounded; nonlocal limit)
+    m = 2: alpha_n = sqrt(n), so 1 << alpha_n << n (local, mobility
            ||V||_L1 |y|)
-    m = 3: alpha_n / n -> beta (local, lattice-series mobility)
+    m = 3: alpha_n = beta n (local, lattice-series mobility)
     """
 
     m: int
     alpha: float = 1.0
     beta: float = 1.0
-    alpha_rule: Callable[[float], float] | None = None
 
     def __post_init__(self):
         if self.m not in (1, 2, 3):
@@ -329,8 +325,6 @@ class ScalingRegime:
             raise ValueError("alpha and beta must be positive")
 
     def alpha_of(self, n: int) -> float:
-        if self.alpha_rule is not None:
-            return float(self.alpha_rule(n))
         if self.m == 1:
             return self.alpha
         if self.m == 2:
@@ -351,22 +345,6 @@ class ScalingRegime:
         if self.m == 2:
             return eps ** -0.5
         return self.beta / eps
-
-    def validate(self) -> None:
-        """Numeric check of the limit behavior of alpha_n up to REGIME_N_MAX."""
-        ns = [10 ** k for k in range(2, int(math.log10(REGIME_N_MAX)) + 1)]
-        a = [self.alpha_of(n) for n in ns]
-        if self.m == 1:
-            if abs(a[-1] - self.alpha) > REGIME_TOL * self.alpha:
-                raise ValueError("m=1 requires alpha_n -> alpha")
-        elif self.m == 2:
-            if not (a[-1] > a[0] and a[-1] > 30.0):
-                raise ValueError("m=2 requires alpha_n -> infinity")
-            if not (a[-1] / ns[-1] < 0.05 and a[-1] / ns[-1] < a[0] / ns[0]):
-                raise ValueError("m=2 requires alpha_n / n -> 0")
-        else:
-            if abs(a[-1] / ns[-1] - self.beta) > REGIME_TOL * self.beta:
-                raise ValueError("m=3 requires alpha_n / n -> beta")
 
 
 @dataclass(frozen=True)

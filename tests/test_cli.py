@@ -1,6 +1,7 @@
 """Command-line interface: subcommands, outputs, exit codes."""
 
 import json
+import math
 
 import pytest
 
@@ -163,6 +164,18 @@ def test_converge_rejects_incomplete_config(tmp_path, capsys, extra):
     cfg = _write_cfg(tmp_path, extra)
     assert main(["converge", "--config", str(cfg)]) == 1
     assert list(extra)[0] in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("comp", [{"width": 0.0}, {"width": -1.0},
+                                  {"mass": math.nan}, {"center": math.inf}],
+                         ids=["zero-width", "negative-width", "nan-mass",
+                              "inf-center"])
+def test_converge_rejects_bad_density_component(tmp_path, capsys, comp):
+    # a zero width divided by zero in the density, an uncaught traceback
+    cfg = _write_cfg(tmp_path, {"initial": {"kind": "density", "components": [
+        {"sign": 1, "mass": 1.0, "center": 0.0, "width": 1.0, **comp}]}})
+    assert main(["converge", "--config", str(cfg)]) == 1
+    assert "component" in capsys.readouterr().err
 
 
 def test_converge_subcommand(tmp_path):

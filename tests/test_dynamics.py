@@ -480,6 +480,27 @@ def test_simulation_stats_count_steps_and_evaluations():
     assert 0 < wall["pair_evals"] < 780 * wall["force_evals"]
 
 
+def test_stats_pinned_on_fixed_runs():
+    # exact counters of two fixed runs: a change to step control that keeps
+    # every step keeps them all.  The signed run is built as the collide
+    # benchmark builds its n = 14 run (zero net charge, wall, alpha =
+    # sqrt(n), to t = 0.1); the single-sign wall run is banded and lands on
+    # one snapshot
+    signed = simulate(_zero_net_config(14, 1), wall_potential(),
+                      math.sqrt(14), None, 0.1)
+    assert len(signed.events) == 6
+    assert signed.stats == {
+        "accepted": 238, "rejected": 20, "force_evals": 1555,
+        "pair_evals": 64584, "gap_capped": 78, "snapshot_capped": 0,
+        "end_capped": 1, "contact_scaled": 231, "unordered_sweeps": 0}
+    st = ParticleState(0.0, np.linspace(-1.0, 1.0, 40), np.ones(40, dtype=int))
+    wall = simulate(st, wall_potential(), 40.0, None, 0.05, t_eval=[0.02])
+    assert wall.stats == {
+        "accepted": 221, "rejected": 1, "force_evals": 667,
+        "pair_evals": 268134, "gap_capped": 0, "snapshot_capped": 1,
+        "end_capped": 1, "contact_scaled": 0, "unordered_sweeps": 0}
+
+
 def test_closing_pair_takes_few_steps():
     # the gap cap follows the measured closing rate, and the 5(4) pair takes
     # long steps where the cap does not bind
@@ -748,7 +769,7 @@ def test_energy_matches_gradient_flow_rate():
     pot = log_potential()
     st = ParticleState(0.0, [-0.7, -0.1, 0.4, 1.1], [1, 1, -1, -1])
     h = 1e-6
-    res = simulate(st, pot, 1.0, None, h, opts=IntegratorOptions(h_init=h / 4))
+    res = simulate(st, pot, 1.0, None, h)
     e0 = energy(st, pot, 1.0)
     e1 = energy(res.state, pot, 1.0)
     v = velocities(st, pot, 1.0)
@@ -817,23 +838,39 @@ def test_each_charge_jumps_at_most_once():
     assert np.max(jump_count) <= 1
 
 
-def test_stiffness_error_without_collision():
-    # a same-sign pair, and an opposite pair closing far from contact
+def test_stiffness_error_without_collision(monkeypatch):
+    # a same-sign pair, and an opposite pair closing far from contact; at
+    # the default H_MIN steps near 1e-14 are accepted and the run crawls
+    # to the step budget
     from signedflow import StiffnessError
+    monkeypatch.setattr(signedflow.dynamics, "H_MIN", 1e-9)
+    monkeypatch.setattr(signedflow.dynamics, "H_INIT", 1e-8)
     for b in ([1, 1], [1, -1]):
         st = ParticleState(0.0, [-0.5, 0.5], b)
         with pytest.raises(StiffnessError) as err:
             simulate(st, log_potential(), 1.0, None, 1.0,
-                     opts=IntegratorOptions(rk_tol=1e-30, h_min=1e-9,
-                                            h_init=1e-8))
+                     opts=IntegratorOptions(rk_tol=1e-30))
         assert "t" in err.value.diagnostics
         gap = err.value.diagnostics["min_opposite_gap"]
         assert math.isfinite(gap) == (b[1] < 0)
 
 
+def test_step_underflow_detected_at_large_time(monkeypatch):
+    # beyond |t| = 100 the round-off floor 1e-16 |t| exceeds H_MIN: a
+    # rejection at the floor is an underflow, not an attempt to repeat
+    # until the step budget runs out.  At rk_tol = 1e-40 every attempt is
+    # rejected, the floor's included
+    from signedflow import StiffnessError
+    monkeypatch.setattr(signedflow.dynamics, "MAX_STEPS", 1000)
+    st = ParticleState(1e3, [-0.5, 0.5], [1, 1])
+    with pytest.raises(StiffnessError, match="step underflow") as err:
+        simulate(st, log_potential(), 1.0, None, 1e3 + 1.0,
+                 opts=IntegratorOptions(rk_tol=1e-40))
+    assert err.value.diagnostics["h"] == 1e-16 * 1e3
+
+
 @pytest.mark.parametrize("kwargs", [
-    {"rk_tol": -1e-9}, {"rk_tol": 0.0}, {"h_init": 0.0}, {"h_init": -1e-4},
-    {"h_min": -1e-14}, {"rk_tol": float("nan")}])
+    {"rk_tol": -1e-9}, {"rk_tol": 0.0}, {"rk_tol": float("nan")}])
 def test_integrator_options_reject_nonpositive(kwargs):
     with pytest.raises(ValueError, match="must be positive"):
         IntegratorOptions(**kwargs)

@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import math
 
 import numpy as np
 import pytest
@@ -111,6 +112,19 @@ def test_config_validation_errors():
     bad["bogus_key"] = 1
     with pytest.raises(DataError):
         ExperimentConfig.from_dict(bad)
+    # a nan tolerance makes every comparison with it false, so a check
+    # would pass; an infinite one checks nothing
+    tols = {"conv_tol": 0.05, "slack": 1.1, "rk_tol": 1e-9, "quad_tol": 1e-9}
+    for val in (math.nan, math.inf):
+        for key in tols:
+            bad = _cfg_dict()
+            bad["tolerances"] = {**tols, key: val}
+            with pytest.raises(DataError, match=key):
+                ExperimentConfig.from_dict(bad)
+        bad = _cfg_dict()
+        bad["t_end"] = val
+        with pytest.raises(DataError, match="t_end"):
+            ExperimentConfig.from_dict(bad)
 
 
 @pytest.mark.parametrize("nodes", [1, 0, 2.5, "512", True, None])

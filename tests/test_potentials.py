@@ -453,16 +453,6 @@ def test_audit_report_serializes():
 # scaling regimes and external fields
 # ---------------------------------------------------------------------------
 
-def test_regime_limits_validate():
-    ScalingRegime(m=1, alpha=2.0).validate()
-    ScalingRegime(m=2).validate()
-    ScalingRegime(m=3, beta=0.5).validate()
-    with pytest.raises(ValueError):
-        ScalingRegime(m=2, alpha_rule=lambda n: 3.0).validate()
-    with pytest.raises(ValueError):
-        ScalingRegime(m=3, beta=1.0, alpha_rule=lambda n: n ** 0.5).validate()
-
-
 def test_regime_alpha_of():
     assert ScalingRegime(m=2).alpha_of(10_000) == pytest.approx(100.0)
     assert ScalingRegime(m=3, beta=2.0).alpha_of(50) == pytest.approx(100.0)
