@@ -870,7 +870,9 @@ def test_step_underflow_detected_at_large_time(monkeypatch):
 
 
 @pytest.mark.parametrize("kwargs", [
-    {"rk_tol": -1e-9}, {"rk_tol": 0.0}, {"rk_tol": float("nan")}])
+    pytest.param({"rk_tol": -1e-9}, id="kwargs0"),
+    pytest.param({"rk_tol": 0.0}, id="kwargs1"),
+    pytest.param({"rk_tol": float("nan")}, id="kwargs5")])
 def test_integrator_options_reject_nonpositive(kwargs):
     with pytest.raises(ValueError, match="must be positive"):
         IntegratorOptions(**kwargs)
