@@ -20,9 +20,10 @@ Each commit sets the next step once: 0.9 err^(-1/q) times the last one,
 clipped to [0.2, 5] (err the last error norm, q the order of the pair's
 error estimate plus one), scaled by the time to contact near a collision, as
 below, then clipped to the gap cap, the next snapshot time and ``t_end``,
-and kept above 1e-16 max(1, |t|).  A rejection only shrinks the step, by the
-same factor, to no less than H_MIN and that floor; a rejection at that size
-raises StiffnessError.
+and kept above 1e-16 max(1, |t|); a proposal below that floor raises
+StiffnessError, as the run would only move t by round-off.  A rejection only
+shrinks the step, by the same factor, to no less than H_MIN and that floor;
+a rejection at that size raises StiffnessError.
 
 Close to a collision the shrinking gap d of an opposite pair follows
 d^(2+a) affine in t (a = singularity exponent of the force).  The fit of
@@ -121,7 +122,7 @@ class ParticleState:
         object.__setattr__(self, "b", np.asarray(self.b, dtype=np.int64).copy())
         if self.x.shape != self.b.shape:
             raise ValueError("x and b must have equal length")
-        if not np.all(np.isin(self.b, (-1, 0, 1))):
+        if not np.all((self.b >= -1) & (self.b <= 1)):
             raise ValueError("charges must lie in {-1, 0, +1}")
 
     @property
@@ -721,20 +722,15 @@ def simulate(state0: ParticleState, pot: Potential, alpha: float,
     taken there, and one before the start time is the start state).
     ``t_end`` must be finite and not before the start time, and no request
     may be nan or after ``t_end``; otherwise ValueError is raised before
-    the first step.  Diagnostics hold one row at the start, one after each
-    event batch and one per accepted step; rows are computed in blocks and
-    are all present on return.  numpy floating-point warnings are silenced
+    the first step; the PDE solvers share this contract and its queue
+    (``_snapshot_queue``).  Diagnostics hold one row at the start, one after
+    each event batch and one per accepted step; rows are computed in blocks
+    and are all present on return.  numpy floating-point warnings are silenced
     while it runs: a crossing or coinciding stage point yields inf or nan,
     and step control rejects it.
     """
     state0.validate()
-    eval_queue = sorted(float(t) for t in (t_eval if t_eval is not None else []))
-    if not (math.isfinite(t_end) and state0.t <= t_end):
-        raise ValueError(f"t_end must be finite and at least the start time "
-                         f"{state0.t}, got {t_end}")
-    if not all(tv <= t_end for tv in eval_queue):
-        raise ValueError(f"snapshot times must not be nan or exceed t_end "
-                         f"= {t_end}")
+    eval_queue = _snapshot_queue(state0.t, t_end, t_eval)
     # spot check of the monotone-force ledger (warn-only; the full audit is
     # the caller's business)
     if pot.deriv(1.0, 1) > 0.0 or pot.deriv(1.0, 2) < 0.0:
@@ -797,15 +793,21 @@ def simulate(state0: ParticleState, pot: Potential, alpha: float,
                                                    r_cluster)
                 scale = opts.rk_tol * (1.0 + np.abs(xc))
                 t_prev, prev_dp = t, dp
-                for tv in _pop_due(eval_queue, t, 1e-12 * max(1.0, abs(t))):
+                for tv in _pop_due(eval_queue, t):
                     snapshots.append(seg.state(tv, xc))
                 if event is not None or t >= t_end - 1e-300:
                     break
+                # error control's proposal below the floor: accepted steps
+                # would only move t by round-off
+                floor = _step_floor(t)
+                if h < floor:
+                    raise StiffnessError(
+                        f"step control stalled at round-off at t={t:.6g}",
+                        {"t": t, "h": h, "min_opposite_gap": d_min})
                 h_err = h
                 h = min(h, h_cap, t_end - t)
                 if eval_queue:
                     h = min(h, eval_queue[0] - t)
-                floor = 1e-16 * max(1.0, abs(t))
                 h = max(h, floor)
                 # the bound that set h, if one clipped it; a tie goes to the
                 # first of gap cap, snapshot time and t_end
@@ -878,12 +880,33 @@ def _rk_attempt(tab, seg, xc, ks, h, scale):
     return x_new, gaps, err_norm if math.isfinite(err_norm) else np.inf
 
 
-def _pop_due(queue, t, tol):
-    """Pop and return the leading requested times reached at t (within tol)."""
+def _snapshot_queue(t0, t_end, t_eval):
+    """The snapshot times requested of ``simulate`` or ``pde._march`` from
+    t0 to ``t_end``, sorted; ValueError unless ``t_end`` is finite and not
+    before t0 and no request is nan or after ``t_end``."""
+    queue = sorted(float(tv) for tv in (t_eval if t_eval is not None else []))
+    if not (math.isfinite(t_end) and t0 <= t_end):
+        raise ValueError(f"t_end must be finite and at least the start time "
+                         f"{t0}, got {t_end}")
+    if not all(tv <= t_end for tv in queue):
+        raise ValueError(f"snapshot times must not be nan or exceed t_end "
+                         f"= {t_end}")
+    return queue
+
+
+def _pop_due(queue, t):
+    """Pop and return the leading requested times reached at t: those
+    within 1e-12 max(1, |t|) of it or before it."""
+    tol = 1e-12 * max(1.0, abs(t))
     due = []
     while queue and t >= queue[0] - tol:
         due.append(queue.pop(0))
     return due
+
+
+def _step_floor(t):
+    """The least step at time t: a smaller one moves t by round-off only."""
+    return 1e-16 * max(1.0, abs(t))
 
 
 def _contact_times(dp, prev_dp, dt):

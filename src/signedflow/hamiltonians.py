@@ -566,7 +566,10 @@ def quartic_probe_sweep(pot: Potential, regime: ScalingRegime, K: float,
 
     Returns (rows, per_eps_max) with rows of (eps, gamma, value); every value
     must be >= -quad_tol and the empirical maxima must stabilize as eps
-    shrinks (the bound depends only on the potential, K and L).
+    shrinks (the bound depends only on the potential, K and L).  ``quad_tol``
+    is that acceptance bound, the caller's to apply: the sweep never reads
+    it, and keeps it because the command line and the benchmark pass it in
+    this position.
 
     The probe is even under (z, gamma) -> (-z, -gamma) bit for bit: the right
     side at gamma is the left side at -gamma, term for term in the same

@@ -17,6 +17,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import numbers
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
@@ -184,8 +185,10 @@ class ExperimentConfig:
         if missing:
             raise DataError(f"tolerances lack {', '.join(missing)}")
         for key, val in {**self.tolerances, "t_end": self.t_end}.items():
-            if not (math.isfinite(val) and val > 0):
-                raise DataError(f"'{key}' must be finite and positive, got {val}")
+            if not (isinstance(val, numbers.Real) and not isinstance(val, bool)
+                    and math.isfinite(val) and val > 0):
+                raise DataError(f"'{key}' must be a finite and positive "
+                                f"number, got {val!r}")
         # a convergence check over no particle count or no time compares
         # nothing, and would pass
         if not self.n_list:

@@ -37,8 +37,9 @@ any dt within the transport bound, however large the ball term's slopes.
 
 The solvers' fixed numerics are module constants: MOBILITY_TOL, the
 tolerance of the local mobility (||V||_L1 at m = 2, the lattice tables at
-m = 3), NEWTON_MAX_ITERS and NEWTON_RTOL of the implicit step, and
-VELOCITY_GUARD on the explicit velocity.
+m = 3), CFL_SAFETY, the fraction of the step bounds a step takes,
+NEWTON_MAX_ITERS and NEWTON_RTOL of the implicit step, and VELOCITY_GUARD
+on the explicit velocity.
 """
 
 from __future__ import annotations
@@ -48,6 +49,7 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
+from .dynamics import _pop_due, _snapshot_queue, _step_floor
 from .errors import ConvergenceError, DataError
 from .potentials import (ExternalField, Potential, ScalingRegime, l1_norm,
                          mobility, rescaled_derivative)
@@ -57,6 +59,7 @@ __all__ = ["GridFunction", "solve_local", "solve_nonlocal",
            "density_from_primitive", "MobilityTable"]
 
 MOBILITY_TOL = 1e-8     # tolerance of the local solver's mobility
+CFL_SAFETY = 0.45       # a step takes this fraction of the move and CFL bounds
 NEWTON_MAX_ITERS = 50
 NEWTON_RTOL = 1e-12     # Newton stops once its update is below this * max|u|
 VELOCITY_GUARD = 1e8    # an explicit velocity above this means a gradient blowup
@@ -232,28 +235,34 @@ class SolveInfo:
         return f"{steps}, {self.newton_iters} Newton iterations"
 
 
-def _march(u0: GridFunction, t_end: float, t_eval, cfl_safety: float, prepare):
+def _march(u0: GridFunction, t_end: float, t_eval, prepare):
     """Time loop of both solvers: explicit upwind transport, then implicit
-    diffusion.
+    diffusion, from t = 0 to ``t_end``.
 
     ``prepare(u, d)``, with d the slopes of u, returns ``(mobility, vel)``
     for the step from u: the diffusion u_t = (G(u_x))_x, ``mobility(p)``
     returning ``(f, G)``, and the explicit velocity of u_t = vel |u_x|.  The
-    step is ``cfl_safety`` times the smaller of "the profile moves at most
-    one cell" (``move``) and dx / max|vel| (``advection``), clipped to land
-    on ``t_end`` and on each requested snapshot time; snapshots at times
-    <= 0 are the initial values.  A step that returns a non-finite value
+    step is CFL_SAFETY times the smaller of "the profile moves at most one
+    cell" (``move``) and dx / max|vel| (``advection``), clipped to land on
+    ``t_end`` and on each requested snapshot time, and kept above
+    1e-16 max(1, |t|).  The times take ``simulate``'s contract: ``t_end``
+    must be finite and not negative, and no request may be nan or after
+    ``t_end``, or ValueError is raised before the first step; a request
+    within 1e-12 max(1, |t|) of a reached time t is taken there, and one
+    before 0 is the initial values.  A step that returns a non-finite value
     raises ConvergenceError.
     """
     dx = u0.dx
     u = u0.values.copy()
     info = SolveInfo()
-    eval_queue = sorted(float(tv) for tv in (t_eval if t_eval is not None else []))
-    while eval_queue and eval_queue[0] <= 0.0:
-        info.snapshots.append((eval_queue.pop(0), u.copy()))
+    eval_queue = _snapshot_queue(0.0, t_end, t_eval)
     lo0, hi0 = float(np.min(u)), float(np.max(u))
     t = 0.0
-    while t < t_end - 1e-300:
+    while True:
+        for tv in _pop_due(eval_queue, t):
+            info.snapshots.append((tv, u.copy()))
+        if t >= t_end - 1e-300:
+            break
         d = np.diff(u) / dx
         mobility, vel = prepare(u, d)
         d_max = float(np.max(np.abs(d), initial=0.0))
@@ -262,12 +271,12 @@ def _march(u0: GridFunction, t_end: float, t_eval, cfl_safety: float, prepare):
         vmax = float(np.max(np.abs(vel)))
         dt_adv = dx / vmax if vmax > 0 else math.inf
         dt_bound, why = min((dt_move, "move"), (dt_adv, "advection"))
-        dt = cfl_safety * dt_bound
+        dt = CFL_SAFETY * dt_bound
         if t_end - t <= dt:
             dt, why = t_end - t, "t_end"
         if eval_queue and eval_queue[0] - t < dt:
             dt, why = eval_queue[0] - t, "snapshot"
-        dt = max(dt, 1e-15)
+        dt = max(dt, _step_floor(t))
         rhs = u[1:-1]
         if vmax > 0:
             rhs = rhs + dt * _upwind_transport(vel[1:-1], d[:-1], d[1:])
@@ -282,8 +291,6 @@ def _march(u0: GridFunction, t_end: float, t_eval, cfl_safety: float, prepare):
         info.dt_min = min(info.dt_min, dt)
         over = max(hi - hi0, lo0 - lo, 0.0)
         info.max_principle_violation = max(info.max_principle_violation, over)
-        while eval_queue and t >= eval_queue[0] - 1e-12:
-            info.snapshots.append((eval_queue.pop(0), u.copy()))
 
     return GridFunction(u0.x0, u0.dx, u, u0.far_left, u0.far_right), info
 
@@ -328,14 +335,17 @@ def _abs_mobility(c: float):
 
 
 def solve_local(u0: GridFunction, m: int, pot: Potential, beta: float,
-                field: ExternalField | None, t_end: float,
-                cfl_safety: float = 0.45, t_eval=None):
+                field: ExternalField | None, t_end: float, t_eval=None):
     """Advance u_t = f_m(u_x) u_xx + U'|u_x| to t_end (m = 2 or 3).
 
     Implicit Euler in the diffusion, explicit upwinding in the transport (see
     the module docstring).  Returns (GridFunction, SolveInfo);
-    SolveInfo.snapshots holds (t, values) pairs at the requested times.
-    Raises ConvergenceError when a step's Newton iteration does not converge.
+    SolveInfo.snapshots holds (t, values) pairs at the times requested in
+    ``t_eval``, in sorted order.  The times take ``simulate``'s contract
+    (``_march``): ValueError before the first step unless ``t_end`` is
+    finite and not negative and no request is nan or after ``t_end``; a
+    request before 0 is the initial data.  Raises ConvergenceError when a
+    step's Newton iteration does not converge.
     """
     if m not in (2, 3):
         raise ValueError("local solver covers m = 2 and m = 3")
@@ -356,7 +366,7 @@ def solve_local(u0: GridFunction, m: int, pot: Potential, beta: float,
                 table = MobilityTable.build(pot, regime, max(2.0 * d_max, 1.0))
             return table, uprime
 
-    return _march(u0, t_end, t_eval, cfl_safety, prepare)
+    return _march(u0, t_end, t_eval, prepare)
 
 
 # ---------------------------------------------------------------------------
@@ -394,13 +404,14 @@ def _apply_kernel(kernel: np.ndarray, v: np.ndarray) -> np.ndarray:
 
 def solve_nonlocal(u0: GridFunction, pot: Potential, alpha: float,
                    field: ExternalField | None, t_end: float,
-                   rho: float = 0.5, cfl_safety: float = 0.45,
-                   quad_tol: float = 1e-9, t_eval=None):
+                   rho: float = 0.5, quad_tol: float = 1e-9, t_eval=None):
     """Advance u_t = (M[u] + U') |u_x| to t_end.
 
     The ball term is an implicit m = 2 diffusion and far[u] + U' an explicit
     upwinded velocity (see the module docstring).  The ball radius snaps to
-    a whole number of cells (at least 2).  An explicit velocity above
+    a whole number of cells (at least 2).  Returns (GridFunction,
+    SolveInfo), with ``t_eval`` and ``t_end`` under ``simulate``'s time
+    contract, as in ``solve_local``.  An explicit velocity above
     VELOCITY_GUARD raises ConvergenceError with a grid-refinement hint.
     """
     dx = u0.dx
@@ -429,4 +440,4 @@ def solve_nonlocal(u0: GridFunction, pot: Potential, alpha: float,
                 "velocity overflow near a gradient blowup; refine dx")
         return ball, vel
 
-    return _march(u0, t_end, t_eval, cfl_safety, prepare)
+    return _march(u0, t_end, t_eval, prepare)

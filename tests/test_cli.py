@@ -178,6 +178,15 @@ def test_converge_rejects_bad_density_component(tmp_path, capsys, comp):
     assert "component" in capsys.readouterr().err
 
 
+def test_converge_rejects_tolerance_that_is_not_a_number(tmp_path, capsys):
+    # a string tolerance ended in a TypeError traceback
+    cfg = _write_cfg(tmp_path, {"tolerances": {
+        "conv_tol": "0.05", "slack": 1.1, "rk_tol": 1e-9, "quad_tol": 1e-9}})
+    assert main(["converge", "--config", str(cfg)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "number" in err
+
+
 def test_converge_subcommand(tmp_path):
     cfg = _write_cfg(tmp_path)
     rep = tmp_path / "report.json"

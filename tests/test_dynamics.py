@@ -5,17 +5,20 @@ import os
 import subprocess
 import sys
 import textwrap
+import time
 import warnings
 
 import numpy as np
 import pytest
 
 import signedflow
-from signedflow import (InvariantViolationError, IntegratorOptions,
-                        ParticleState, SingularConfigurationError, annihilate,
+from signedflow import (GridFunction, InvariantViolationError,
+                        IntegratorOptions, ParticleState,
+                        SingularConfigurationError, annihilate,
                         detect_collision, energy, log_potential,
                         power_law_force_potential, riesz_potential, simulate,
-                        stability_experiment, velocities, wall_potential)
+                        solve_local, solve_nonlocal, stability_experiment,
+                        velocities, wall_potential)
 from signedflow.dynamics import (GAP_FACTOR, H_COLLISION_FLOOR,
                                  _KERNEL_ERRSTATE, _band_cutoff, _band_pairs,
                                  _Segment, _event_radii)
@@ -570,16 +573,72 @@ def test_pair_approach_keeps_gap_samples(a):
     assert np.count_nonzero(gaps <= 1e3 * gaps[-1]) >= 15
 
 
-@pytest.mark.parametrize("t_end,t_eval", [
-    (math.nan, None),          # no end time
-    (-0.1, None),              # an end before the start
-    (0.1, [0.05, 0.2]),        # a request after t_end
-    (0.1, [0.05, math.nan]),   # a nan request
-])
-def test_simulate_rejects_bad_times(t_end, t_eval):
-    st = ParticleState(0.0, [-0.5, 0.5], [1, -1])
+def _run_to(kind, t_end, t_eval):
+    """``simulate`` or one of the PDE solvers from t = 0 to ``t_end``."""
+    if kind == "simulate":
+        st = ParticleState(0.0, [-0.5, 0.5], [1, -1])
+        return simulate(st, log_potential(), 1.0, None, t_end, t_eval=t_eval)
+    vals = np.tanh(np.linspace(-2.0, 2.0, 33))
+    u0 = GridFunction(-2.0, 0.125, vals, vals[0], vals[-1])
+    if kind == "local":
+        return solve_local(u0, 2, wall_potential(), 1.0, None, t_end,
+                           t_eval=t_eval)
+    return solve_nonlocal(u0, log_potential(), 1.0, None, t_end,
+                          t_eval=t_eval)
+
+
+_BAD_TIMES = [
+    (math.nan, None, "nan-None"),               # no end time
+    (math.inf, None, "inf-None"),               # an end never reached
+    (-0.1, None, "-0.1-None"),                  # an end before the start
+    (0.1, [0.05, 0.2], "0.1-t_eval2"),          # a request after t_end
+    (0.1, [0.05, math.nan], "0.1-t_eval3"),     # a nan request
+]
+
+
+# simulate's cases keep unprefixed ids, so their names stay stable
+@pytest.mark.parametrize("kind,t_end,t_eval", [
+    pytest.param(kind, t_end, t_eval,
+                 id=case if kind == "simulate" else f"{kind}-{case}")
+    for kind in ("simulate", "local", "nonlocal")
+    for t_end, t_eval, case in _BAD_TIMES])
+def test_simulate_rejects_bad_times(kind, t_end, t_eval):
+    # simulate and both PDE solvers share one snapshot queue, whose checks
+    # raise before the first step
     with pytest.raises(ValueError):
-        simulate(st, log_potential(), 1.0, None, t_end, t_eval=t_eval)
+        _run_to(kind, t_end, t_eval)
+
+
+def test_time_loops_take_the_same_snapshot_times():
+    # a request before the start is the start state, a duplicate is taken
+    # twice, and the times come back sorted from every loop
+    t_eval = [0.1, 0.05, 0.05, -1.0, 0.0]
+    res = _run_to("simulate", 0.1, t_eval)
+    times = [s.t for s in res.snapshots]
+    assert times == [-1.0, 0.0, 0.05, 0.05, 0.1]
+    for kind in ("local", "nonlocal"):
+        _, info = _run_to(kind, 0.1, t_eval)
+        assert [t for t, _ in info.snapshots] == times
+
+
+def test_state_rejects_charges_outside_unit_range():
+    for b in ([2, 1], [1, -2]):
+        with pytest.raises(ValueError, match="charges"):
+            ParticleState(0.0, [-0.5, 0.5], b)
+
+
+def test_round_off_stall_raises_within_budget():
+    # at t = 1e3 the floor 1e-16 |t| is about one ulp of t; at rk_tol = 1e-30
+    # error control asks for less: accepted steps would move t by one ulp
+    # each until the step budget ran out, minutes later
+    from signedflow import StiffnessError
+    st = ParticleState(1e3, [-0.5, 0.5], [1, 1])
+    tic = time.perf_counter()
+    with pytest.raises(StiffnessError, match="stalled at round-off") as err:
+        simulate(st, log_potential(), 1.0, None, 1e3 + 1.0,
+                 opts=IntegratorOptions(rk_tol=1e-30))
+    assert time.perf_counter() - tic < 2.0
+    assert err.value.diagnostics["h"] < 1e-16 * err.value.diagnostics["t"]
 
 
 def test_single_particle_stationary():

@@ -113,9 +113,10 @@ def test_config_validation_errors():
     with pytest.raises(DataError):
         ExperimentConfig.from_dict(bad)
     # a nan tolerance makes every comparison with it false, so a check
-    # would pass; an infinite one checks nothing
+    # would pass; an infinite one checks nothing; one that is not a number
+    # fails the first comparison with a TypeError
     tols = {"conv_tol": 0.05, "slack": 1.1, "rk_tol": 1e-9, "quad_tol": 1e-9}
-    for val in (math.nan, math.inf):
+    for val in (math.nan, math.inf, "0.05", None):
         for key in tols:
             bad = _cfg_dict()
             bad["tolerances"] = {**tols, key: val}

@@ -1,11 +1,12 @@
-"""Layer benchmarks of the pair force kernel ``_Segment.rhs`` and of one
-step attempt ``_rk_attempt``.
+"""Layer benchmarks of the pair force kernel ``_Segment.rhs``, of one
+step attempt ``_rk_attempt`` and of one local or nonlocal PDE step.
 
-Two sizes: m = 18 charges of a ``collide`` run, whose list holds every pair
-in one chunk and whose attempts use the Dormand-Prince pair, and the m = 300
-wall particles of ``repel``, whose band keeps w = 123 offsets, 29,274 pairs
-in four chunks, and whose attempts use the Bogacki-Shampine pair.
-``benchmark.pedantic`` fixes the number of calls, so the four take about a
+Two particle sizes: m = 18 charges of a ``collide`` run, whose list holds
+every pair in one chunk and whose attempts use the Dormand-Prince pair, and
+the m = 300 wall particles of ``repel``, whose band keeps w = 123 offsets,
+29,274 pairs in four chunks, and whose attempts use the Bogacki-Shampine
+pair.  The PDE steps start from the ``continuum`` workload's N = 512 grids.
+``benchmark.pedantic`` fixes the number of calls, so the six take about a
 second together.  Run alone, with the timing table:
 
     python -m pytest tests/test_kernel_bench.py
@@ -16,9 +17,11 @@ import math
 import numpy as np
 import pytest
 
-from signedflow import log_potential, wall_potential
+from signedflow import (GridFunction, log_potential, pde, solve_local,
+                        solve_nonlocal, wall_potential)
 from signedflow.dynamics import (_BS3, _DP5, _KERNEL_ERRSTATE, _band_cutoff,
                                  _rk_attempt, _Segment)
+from signedflow.pde import _implicit_diffusion, _upwind_transport
 
 pytest.importorskip("pytest_benchmark")
 
@@ -88,3 +91,60 @@ def test_rk_attempt_benchmark(benchmark, size):
     # its stage points stay within the band's skin
     assert x_new.tobytes() == x_ref.tobytes() and err_norm == err_ref
     assert math.isfinite(err_norm) and gaps.min() > 0 and seg.w == w
+
+
+def _continuum_grid(kind):
+    """The continuum workload's N = 512 grids: the self-similar m = 2 wall
+    profile at t = 1 on [-3.2, 3.2], and the unit semicircle on [-3, 3]."""
+    if kind == "local":
+        xs = np.linspace(-3.2, 3.2, 512)
+        c = (3.0 / (4.0 * math.sqrt(12.0))) ** (2.0 / 3.0)
+        xi0 = math.sqrt(12.0 * c)
+        xi = np.clip(xs / (math.pi ** 2 / 6.0) ** (1.0 / 3.0), -xi0, xi0)
+        vals = c * (xi + xi0) - (xi ** 3 + xi0 ** 3) / 36.0
+    else:
+        xs = np.linspace(-3.0, 3.0, 512)
+        xc = np.clip(xs, -1.0, 1.0)
+        vals = 0.5 + (xc * np.sqrt(1.0 - xc * xc) + np.arcsin(xc)) / math.pi
+    return GridFunction(xs[0], xs[1] - xs[0], vals, 0.0, 1.0)
+
+
+def _prepare_of(solve, *args, **kwargs):
+    """The ``prepare`` that ``solve`` hands its time loop ``pde._march``."""
+    grabbed = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(pde, "_march", lambda u0, t_end, t_eval, prepare:
+                   grabbed.append(prepare))
+        solve(*args, **kwargs)
+    return grabbed[0]
+
+
+def _pde_step(u, prepare, dx, dt):
+    """One step of ``pde._march`` at dt: upwind transport, then the
+    implicit diffusion; returns (values, Newton iterations)."""
+    d = np.diff(u) / dx
+    mobility, vel = prepare(u, d)
+    rhs = u[1:-1] + dt * _upwind_transport(vel[1:-1], d[:-1], d[1:])
+    return _implicit_diffusion(u, rhs, dt, dx, mobility)
+
+
+@pytest.mark.parametrize("kind", ["local", "nonlocal"])
+def test_pde_step_benchmark(benchmark, kind):
+    # a step near the solves' own: 25 steps over 0.5 for the local solve,
+    # 41 over 0.2 for the nonlocal one
+    u0 = _continuum_grid(kind)
+    if kind == "local":
+        prepare = _prepare_of(solve_local, u0, 2, wall_potential(), 1.0,
+                              None, 0.5)
+        dt = 0.02
+    else:
+        prepare = _prepare_of(solve_nonlocal, u0, log_potential(), 1.0, None,
+                              0.2, rho=0.5)
+        dt = 0.005
+    ref, ref_iters = _pde_step(u0.values, prepare, u0.dx, dt)
+    out, iters = benchmark.pedantic(
+        _pde_step, args=(u0.values, prepare, u0.dx, dt), rounds=50,
+        iterations=5, warmup_rounds=1)
+    # a step depends on its input alone, so every call repeats the first
+    assert out.tobytes() == ref.tobytes() and iters == ref_iters
+    assert np.all(np.isfinite(out)) and iters > 1

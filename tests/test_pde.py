@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+import signedflow.pde
 from signedflow import (ConvergenceError, DataError, GridFunction,
                         ParticleState, cumulative_charge,
                         density_from_primitive, l1_norm, log_potential,
@@ -145,9 +146,11 @@ def test_discrete_comparison_principle():
         assert np.all(a.values <= b.values + 1e-10)
 
 
-def test_local_monotone_at_large_steps(wall_l1):
+def test_local_monotone_at_large_steps(wall_l1, monkeypatch):
     # one implicit step 60x the explicit bound dx^2 / (2 max f) keeps the
-    # maximum principle exactly and keeps ordered data ordered
+    # maximum principle exactly and keeps ordered data ordered; a step takes
+    # 5x the move bound
+    monkeypatch.setattr(signedflow.pde, "CFL_SAFETY", 5.0)
     rng = np.random.default_rng(7)
     xs = np.linspace(-2, 2, 129)
     dx = xs[1] - xs[0]
@@ -163,7 +166,7 @@ def test_local_monotone_at_large_steps(wall_l1):
         outs = []
         for v in pair:
             u0 = GridFunction(-2.0, dx, v, v[0], v[-1])
-            out, info = solve_local(u0, 2, WALL, 1.0, None, t_end, cfl_safety=5.0)
+            out, info = solve_local(u0, 2, WALL, 1.0, None, t_end)
             assert info.steps == 1 and info.dt_min == t_end
             assert info.max_principle_violation == 0.0
             outs.append(out.values)
@@ -177,10 +180,11 @@ def _old_ball_bound(v, dx, rho=0.5):
     return dx ** 2 / (i2 * float(np.max(np.abs(np.diff(v)))) / dx)
 
 
-def test_nonlocal_monotone_at_large_steps():
+def test_nonlocal_monotone_at_large_steps(monkeypatch):
     # one step 50x the explicit ball-term bound, inside the transport CFL
-    # bound (cfl_safety = 1): the implicit ball term keeps the maximum
+    # bound (CFL_SAFETY = 1): the implicit ball term keeps the maximum
     # principle exactly on signed data and keeps ordered data ordered
+    monkeypatch.setattr(signedflow.pde, "CFL_SAFETY", 1.0)
     rng = np.random.default_rng(7)
     xs = np.linspace(-2, 2, 513)
     dx = xs[1] - xs[0]
@@ -197,7 +201,7 @@ def test_nonlocal_monotone_at_large_steps():
         outs = []
         for v in vals:
             u0 = GridFunction(-2.0, dx, v, v[0], v[-1])
-            out, info = solve_nonlocal(u0, LOGP, 1.0, None, t_end, cfl_safety=1.0)
+            out, info = solve_nonlocal(u0, LOGP, 1.0, None, t_end)
             assert info.steps == 1 and info.dt_min == t_end
             assert info.max_principle_violation == 0.0
             outs.append(out.values)
@@ -280,7 +284,7 @@ def test_one_step_flux_identity(wall_l1):
     mobility = _abs_mobility(l1_norm(WALL, 1e-8))
     fmax = float(np.max(mobility(d0)[0]))
     dt = 0.9 * 0.45 * dx ** 2 / (2 * fmax)  # far below one step's move bound
-    out, info = solve_local(u0, 2, WALL, 1.0, None, dt, cfl_safety=0.45)
+    out, info = solve_local(u0, 2, WALL, 1.0, None, dt)
     assert info.steps == 1
     d1 = np.diff(out.values) / dx
     g1 = mobility(d1)[1]
@@ -410,7 +414,7 @@ def test_march_rejects_non_finite_step():
     def prepare(u, d):
         return nan_flux, np.zeros_like(u)
     with pytest.raises(ConvergenceError):
-        _march(u0, 1.0, None, 0.45, prepare)
+        _march(u0, 1.0, None, prepare)
 
 
 @pytest.mark.parametrize("solve", [
