@@ -18,19 +18,15 @@ from .errors import SignedFlowError
 from .hamiltonians import TestFunction, quartic_probe_sweep, rhs_convergence_table
 from .harness import (ExperimentConfig, convergence_csv, fit_collision_exponent,
                       quantile_particles, run_convergence, solve_limit_equation)
-from .potentials import audit_assumptions, make_potential
+from .potentials import AUDIT_PROFILES, audit_assumptions, make_potential
 
 EXIT_OK = 0
 EXIT_RUNTIME = 1
 EXIT_ASSERTION = 2
 
 
-def _load_cfg(path) -> ExperimentConfig:
-    return ExperimentConfig.from_json(path)
-
-
 def _cmd_simulate(args) -> int:
-    cfg = _load_cfg(args.config)
+    cfg = ExperimentConfig.from_json(args.config)
     pot, reg, fld = cfg.build()
     st0 = cfg.particles() if (cfg.initial or {}).get("kind") == "particles" \
         else None
@@ -62,7 +58,7 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_pde(args) -> int:
-    cfg = _load_cfg(args.config)
+    cfg = ExperimentConfig.from_json(args.config)
     out, info = solve_limit_equation(cfg, args.m)
     if args.out:
         with open(args.out, "w") as fh:
@@ -82,7 +78,7 @@ def _cmd_pde(args) -> int:
 
 
 def _cmd_converge(args) -> int:
-    cfg = _load_cfg(args.config)
+    cfg = ExperimentConfig.from_json(args.config)
     report = run_convergence(cfg)
     if args.out:
         with open(args.out, "w") as fh:
@@ -113,7 +109,7 @@ def _cmd_check_potential(args) -> int:
 
 
 def _cmd_hamiltonian_test(args) -> int:
-    cfg = _load_cfg(args.config)
+    cfg = ExperimentConfig.from_json(args.config)
     pot, reg, _ = cfg.build()
     quad_tol = cfg.tolerances["quad_tol"]
     if args.lemma == "rhs":
@@ -154,7 +150,7 @@ def _cmd_hamiltonian_test(args) -> int:
 
 
 def _cmd_fit_exponent(args) -> int:
-    cfg = _load_cfg(args.config)
+    cfg = ExperimentConfig.from_json(args.config)
     pot, reg, fld = cfg.build()
     st0 = cfg.particles()
     res = simulate(st0, pot, reg.alpha_of(st0.n), fld, cfg.t_end,
@@ -203,8 +199,7 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--pot", required=True,
                    choices=("log", "wall", "riesz", "power_law_force"))
     s.add_argument("--a", type=float, help="exponent for riesz/power-law")
-    s.add_argument("--profile", required=True,
-                   choices=("well-posedness", "hj1", "hj2", "hj3"))
+    s.add_argument("--profile", required=True, choices=AUDIT_PROFILES)
     s.add_argument("--out", help="report JSON path")
     s.set_defaults(fn=_cmd_check_potential)
 
@@ -225,10 +220,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except SignedFlowError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_RUNTIME
-    except (OSError, ValueError, KeyError) as exc:
+    except (SignedFlowError, OSError, ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
 

@@ -6,8 +6,9 @@ n particles on the line carry charges b_i in {-1, 0, +1} and move by
 
 with pair force f = -V_alpha' and external force g = -U'.  Neutral particles
 (b_i = 0) are stationary and exert no force.  When neighbors of opposite sign
-meet, adjacent opposite pairs are removed (charges set to 0) sequentially,
-leftmost first, and the removed particles stay pinned at the collision point.
+meet, one rule (``_annihilate_cluster``) resolves each colliding cluster in
+spatial order: its charges alternate, its leftmost 2 floor(k/2) members become
+neutral, all are pinned at the collision point, and a survivor is the rightmost.
 
 Between events the trajectory is advanced by an embedded Runge-Kutta pair,
 chosen per segment (the stretch between two events): the Dormand-Prince 5(4)
@@ -119,7 +120,11 @@ class ParticleState:
 
     def __post_init__(self):
         object.__setattr__(self, "x", np.asarray(self.x, dtype=float).copy())
-        object.__setattr__(self, "b", np.asarray(self.b, dtype=np.int64).copy())
+        b = np.asarray(self.b)
+        # the cast truncates: charges not of integer dtype are checked first
+        if b.dtype.kind not in "biu" and not np.all(np.isin(b, (-1, 0, 1))):
+            raise ValueError("charges must be whole numbers in {-1, 0, +1}")
+        object.__setattr__(self, "b", b.astype(np.int64))
         if self.x.shape != self.b.shape:
             raise ValueError("x and b must have equal length")
         if not np.all((self.b >= -1) & (self.b <= 1)):
@@ -363,31 +368,32 @@ def _checked_segment(state, pot, alpha, field):
 # ---------------------------------------------------------------------------
 
 def annihilate(state: ParticleState, cluster, y: float) -> ParticleState:
-    """Apply the annihilation rule to ``cluster`` at position ``y``.
-
-    Pre-collision charges must alternate in spatial order.  Adjacent opposite
-    pairs are removed leftmost first until at most one charged particle
-    remains; removed particles become neutral and are pinned at y, and a
-    surviving charge continues from y.
-    """
-    cluster = sorted(int(i) for i in cluster)
-    b = state.b.copy()
-    x = state.x.copy()
-    signs = [int(b[i]) for i in cluster]
-    if any(s == 0 for s in signs):
-        raise InvariantViolationError("neutral particle inside a collision cluster")
-    if any(signs[k] * signs[k + 1] != -1 for k in range(len(signs) - 1)):
-        raise InvariantViolationError(
-            f"non-alternating collision cluster {signs}; integration bug")
-    order = sorted(cluster, key=lambda i: x[i])
-    while len(order) >= 2:
-        i, j = order[0], order[1]
-        b[i] = 0
-        b[j] = 0
-        order = order[2:]
-    for i in cluster:
-        x[i] = y
+    """The annihilation rule (``_annihilate_cluster``) on the particles
+    ``cluster`` at ``y``, as a new state.  The cluster is taken in spatial
+    order, ties by index: its charges must alternate, its leftmost
+    2 floor(k/2) members become neutral, all are pinned at y, and a survivor
+    is the rightmost member and continues from y."""
+    x, b = state.x.copy(), state.b.copy()
+    order = sorted((int(i) for i in cluster), key=lambda i: (x[i], i))
+    _annihilate_cluster(x, b, order, y)
     return ParticleState(state.t, x, b)
+
+
+def _annihilate_cluster(x, b, cluster, y):
+    """The annihilation rule in place on positions x and charges b, for the
+    indices ``cluster`` in spatial order meeting at y: InvariantViolationError
+    for a neutral member or charges that do not alternate; else the leftmost
+    2 floor(k/2) members become neutral, all are pinned at y, and a survivor
+    is the rightmost.  Alternating charges sum to 0 or the survivor's, so
+    the net charge is at most 1 in modulus and is conserved."""
+    signs = b[cluster]
+    if np.any(signs == 0):
+        raise InvariantViolationError("neutral particle inside a collision cluster")
+    if np.any(signs[:-1] * signs[1:] != -1):
+        raise InvariantViolationError(
+            f"non-alternating collision cluster {signs.tolist()}; integration bug")
+    b[cluster[:2 * (len(cluster) // 2)]] = 0
+    x[cluster] = y
 
 
 # ---------------------------------------------------------------------------
@@ -427,28 +433,6 @@ def detect_collision(state: ParticleState, prev_state: ParticleState,
 # ---------------------------------------------------------------------------
 # Time integration
 # ---------------------------------------------------------------------------
-
-def _finalize_event(state: ParticleState, tau: float, clusters,
-                    events: EventLog) -> ParticleState:
-    """Snap each cluster to its mean position at the extrapolated time and
-    apply the annihilation rule; re-enter the ordered state space."""
-    new = ParticleState(tau, state.x, state.b)
-    for cluster in clusters:
-        y = float(np.mean(new.x[cluster]))
-        b_before = tuple(int(new.b[i]) for i in cluster)
-        new = annihilate(new, cluster, y)
-        b_after = tuple(int(new.b[i]) for i in cluster)
-        if abs(sum(b_before)) > 1:
-            raise InvariantViolationError(
-                f"cluster net charge {sum(b_before)} exceeds 1 in modulus")
-        if sum(b_after) != sum(b_before):
-            raise InvariantViolationError("charge not conserved at event")
-        events.append(CollisionEvent(tau, y, tuple(cluster), b_before, b_after))
-    xc = new.x[new.charged_indices]
-    if len(xc) > 1 and np.min(np.diff(xc)) <= SPACING_TOL:
-        raise InvariantViolationError("state left the ordered space after event")
-    return new
-
 
 # pairs per chunk of the pair sweep: each temporary stays near 64 KB, in
 # cache and below the allocator's mmap threshold, so it is not faulted in
@@ -849,10 +833,21 @@ def simulate(state0: ParticleState, pot: Potential, alpha: float,
             stats["unordered_sweeps"] += seg.unordered_sweeps
             if event is None:
                 break  # reached t_end
+            # the batch on one copy: each cluster meets at its mean position
             tau, clusters = event
-            tau = min(max(tau, t), t_end)
-            st = _finalize_event(seg.state(tau, xc), tau, clusters, events)
-            t, x, b = st.t, st.x, st.b
+            t = min(max(tau, t), t_end)
+            x, b = seg.x_full.copy(), seg.b_full.copy()
+            x[seg.idx] = xc
+            for cluster in clusters:
+                y = float(np.mean(x[cluster]))
+                b_before = tuple(b[cluster].tolist())
+                _annihilate_cluster(x, b, cluster, y)
+                events.append(CollisionEvent(t, y, tuple(cluster), b_before,
+                                             tuple(b[cluster].tolist())))
+            x_left = x[b != 0]
+            if len(x_left) > 1 and np.min(np.diff(x_left)) <= SPACING_TOL:
+                raise InvariantViolationError(
+                    "state left the ordered space after event")
 
     # the last commit, at t_end, took every request: none is after t_end
     return SimulationResult(seg.state(t, xc), events, diag, snapshots, stats)
@@ -921,12 +916,16 @@ def _contact_times(dp, prev_dp, dt):
 def _extrapolate_event(opp, idx, gaps, contact, t, r_trig, r_cluster):
     """Collision time and clusters of the closing opposite pairs whose gap
     is under the trigger radius or whose gap cap GAP_FACTOR t_c is under
-    H_COLLISION_FLOOR (see ``_event_radii``).
+    H_COLLISION_FLOOR (see ``_event_radii``); None when no pair fires.
 
     ``opp`` holds the opposite-sign neighbor slots among the charged
     particles ``idx`` (global indices, in spatial order); ``gaps`` are their
     neighbor gaps at time t and ``contact`` the opposite pairs' times to
-    contact (``_contact_times``).
+    contact (``_contact_times``).  A cluster is a run of slots with gaps at
+    most r_cluster holding a fired slot: the global indices of the particles
+    it joins, in spatial order, whose rightmost is an odd cluster's survivor
+    (``_annihilate_cluster``).  r_cluster is at least CLUSTER_FACTOR times
+    the widest fired gap, so every fired slot lies in a run.
     """
     opp_gaps = gaps[opp]
     closing = (((opp_gaps < r_trig)
@@ -937,26 +936,17 @@ def _extrapolate_event(opp, idx, gaps, contact, t, r_trig, r_cluster):
     tau = t + float(contact[closing].min())
     # a pair fired by its closing rate may be wider than the trigger radius
     r_cluster = max(r_cluster, CLUSTER_FACTOR * float(opp_gaps[closing].max()))
-    # clusters: chains of charged neighbors within r_cluster holding a
-    # triggered pair; fired_left holds left neighbor-slot indices
-    fired_left = set(int(v) for v in opp[closing])
-    near = gaps <= r_cluster
-    clusters = []
-    k = 0
-    mloc = len(idx)
-    while k < mloc - 1:
-        if near[k]:
-            j = k
-            while j < mloc - 1 and near[j]:
-                j += 1
-            members = list(range(k, j + 1))
-            if any(q in fired_left for q in range(k, j)):
-                clusters.append([int(idx[q]) for q in members])
-            k = j
-        k += 1
-    if not clusters:
-        return None
-    return tau, clusters
+    # the runs of near slots, from their edges: slots starts[r] to
+    # ends[r] - 1, joining particles starts[r] to ends[r]
+    near = np.concatenate(([False], gaps <= r_cluster, [False]))
+    starts = np.flatnonzero(near[1:] & ~near[:-1])
+    ends = np.flatnonzero(near[:-1] & ~near[1:])
+    # fired[s]: fired slots before slot s; a run holds one where it grows
+    fired = np.zeros(len(near) - 1, dtype=np.int64)
+    fired[opp[closing] + 1] = 1
+    fired = np.cumsum(fired)
+    hold = fired[ends] > fired[starts]
+    return tau, [idx[s:e + 1].tolist() for s, e in zip(starts[hold], ends[hold])]
 
 
 # ---------------------------------------------------------------------------
@@ -964,7 +954,8 @@ def _extrapolate_event(opp, idx, gaps, contact, t, r_trig, r_cluster):
 # ---------------------------------------------------------------------------
 
 def _cluster_relabelings(events: EventLog, n: int):
-    """Permutations acting only inside recorded collision clusters."""
+    """Permutations acting only inside recorded collision clusters, each
+    composed with those of the events before it (clusters may overlap)."""
     from itertools import permutations as _perms
 
     groups = [list(ev.indices) for ev in events]
@@ -974,7 +965,7 @@ def _cluster_relabelings(events: EventLog, n: int):
         for base in perms:
             for p in _perms(grp):
                 q = base.copy()
-                q[grp] = p
+                q[grp] = base[list(p)]
                 new_perms.append(q)
         perms = new_perms
         if len(perms) > 5000:  # combinatorial guard

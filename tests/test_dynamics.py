@@ -19,9 +19,9 @@ from signedflow import (GridFunction, InvariantViolationError,
                         power_law_force_potential, riesz_potential, simulate,
                         solve_local, solve_nonlocal, stability_experiment,
                         velocities, wall_potential)
-from signedflow.dynamics import (GAP_FACTOR, H_COLLISION_FLOOR,
+from signedflow.dynamics import (CLUSTER_FACTOR, GAP_FACTOR, H_COLLISION_FLOOR,
                                  _KERNEL_ERRSTATE, _band_cutoff, _band_pairs,
-                                 _Segment, _event_radii)
+                                 _Segment, _event_radii, _extrapolate_event)
 from signedflow.potentials import ExternalField, make_field, zero_field
 
 
@@ -504,6 +504,87 @@ def test_stats_pinned_on_fixed_runs():
         "end_capped": 1, "contact_scaled": 0, "unordered_sweeps": 0}
 
 
+# (tau, y, indices, b_before, b_after) of every event of two fixed runs
+_PINNED_EVENTS = {
+    "signed_wall_n14": [
+        (0.0014421629953745465, -0.358265868380069, (2, 3), (-1, 1), (0, 0)),
+        (0.005568502254446574, 0.5447761479624555, (9, 10), (1, -1), (0, 0)),
+        (0.008406159962488426, -0.06761389107485674, (5, 6), (-1, 1), (0, 0)),
+        (0.027324122198283844, 0.7469077562575379, (11, 12), (1, -1), (0, 0)),
+        (0.04564227613714406, -0.09080171520225025, (4, 7), (-1, 1), (0, 0)),
+        (0.059842158063529036, -0.8271149774775439, (0, 1), (-1, 1), (0, 0)),
+    ],
+    "triple_a0": [
+        (1.5000000211885662, 0.0, (0, 1, 2), (1, -1, 1), (0, 0, 1)),
+    ],
+}
+
+
+def test_events_pinned_on_fixed_runs():
+    # every event of two fixed runs: the signed n = 14 wall run of the stats
+    # pin above, and C3's alternating triple at a = 0, one three-particle
+    # cluster.  Indices and charges are exact, tau and y agree to 1e-12
+    # relative (and 1e-12 absolute for y = 0)
+    runs = {
+        "signed_wall_n14": simulate(_zero_net_config(14, 1), wall_potential(),
+                                    math.sqrt(14), None, 0.1),
+        "triple_a0": simulate(ParticleState(0.0, [-0.5, 0.0, 0.5], [1, -1, 1]),
+                              power_law_force_potential(0.0), 1.0, None, 2.0),
+    }
+    for name, res in runs.items():
+        got = [(ev.tau, ev.y, ev.indices, ev.b_before, ev.b_after)
+               for ev in res.events]
+        want = _PINNED_EVENTS[name]
+        assert [g[2:] for g in got] == [w[2:] for w in want], name
+        for g, w in zip(got, want):
+            assert g[0] == pytest.approx(w[0], rel=1e-12), name
+            assert g[1] == pytest.approx(w[1], rel=1e-12), name
+
+
+def _slot_walk_clusters(opp, idx, gaps, closing, r_cluster):
+    """Reference: walk the neighbor slots, one run of gaps <= r_cluster at a
+    time, and keep the runs that hold a fired slot."""
+    fired_left = set(int(v) for v in opp[closing])
+    near = gaps <= r_cluster
+    clusters = []
+    k = 0
+    while k < len(idx) - 1:
+        if near[k]:
+            j = k
+            while j < len(idx) - 1 and near[j]:
+                j += 1
+            if any(q in fired_left for q in range(k, j)):
+                clusters.append([int(i) for i in idx[k:j + 1]])
+            k = j
+        k += 1
+    return clusters
+
+
+def test_extrapolate_event_clusters_match_slot_walk():
+    # runs at either end, runs without a fired slot, and pairs fired by
+    # their closing rate wider than the cluster radius
+    rng = np.random.default_rng(5)
+    r_trig, r_cluster = 1e-3, 8e-3
+    for _ in range(300):
+        m = int(rng.integers(2, 16))
+        idx = np.sort(rng.choice(40, m, replace=False))
+        gaps = 10.0 ** rng.uniform(-4.0, -1.0, m - 1)
+        opp = np.flatnonzero(rng.random(m - 1) < 0.6)
+        contact = np.where(rng.random(len(opp)) < 0.8,
+                           10.0 ** rng.uniform(-12.0, -2.0, len(opp)), np.inf)
+        hit = _extrapolate_event(opp, idx, gaps, contact, 0.5, r_trig,
+                                 r_cluster)
+        closing = (((gaps[opp] < r_trig)
+                    | (GAP_FACTOR * contact < H_COLLISION_FLOOR))
+                   & (contact < np.inf))
+        if not closing.any():
+            assert hit is None
+            continue
+        r = max(r_cluster, CLUSTER_FACTOR * float(gaps[opp][closing].max()))
+        assert hit[0] == 0.5 + float(contact[closing].min())
+        assert hit[1] == _slot_walk_clusters(opp, idx, gaps, closing, r)
+
+
 def test_closing_pair_takes_few_steps():
     # the gap cap follows the measured closing rate, and the 5(4) pair takes
     # long steps where the cap does not bind
@@ -627,6 +708,15 @@ def test_state_rejects_charges_outside_unit_range():
             ParticleState(0.0, [-0.5, 0.5], b)
 
 
+def test_state_rejects_fractional_charges():
+    # the int64 cast would truncate 0.5 to a neutral particle
+    for b in ([0.5, -1.7], [1.0, np.nan]):
+        with pytest.raises(ValueError, match="whole"):
+            ParticleState(0.0, [0.0, 1.0], b)
+    st = ParticleState(0.0, [0.0, 1.0], [1.0, -1.0])
+    assert st.b.dtype == np.int64 and st.b.tolist() == [1, -1]
+
+
 def test_round_off_stall_raises_within_budget():
     # at t = 1e3 the floor 1e-16 |t| is about one ulp of t; at rk_tol = 1e-30
     # error control asks for less: accepted steps would move t by one ulp
@@ -692,6 +782,13 @@ def test_annihilate_triple_keeps_leftmost_rule():
     out = annihilate(st, [0, 1, 2], 0.0)
     # leftmost adjacent pair removed first; the rightmost positive survives
     assert np.array_equal(out.b, [0, 0, 1])
+    # positions decreasing with index: the cluster is taken in spatial
+    # order, so the survivor is still the rightmost
+    st = ParticleState(0.0, [1e-7, 0.0, -1e-7], [1, -1, 1])
+    out = annihilate(st, [2, 1, 0], 0.0)
+    assert np.array_equal(out.b, [1, 0, 0])
+    assert np.array_equal(out.x, [0.0, 0.0, 0.0])
+    assert np.array_equal(st.b, [1, -1, 1])
 
 
 def test_annihilate_quadruple_all_neutral():
@@ -704,6 +801,11 @@ def test_annihilate_rejects_non_alternating():
     st = ParticleState(0.0, [-1e-7, 1e-7], [1, 1])
     with pytest.raises(InvariantViolationError):
         annihilate(st, [0, 1], 0.0)
+    # charges +1, -1, +1 in index order are +1, +1, -1 in spatial order:
+    # removing the leftmost pair would turn the net charge from +1 to -1
+    st = ParticleState(0.0, [0.0, 2e-7, 1e-7], [1, -1, 1])
+    with pytest.raises(InvariantViolationError):
+        annihilate(st, [0, 1, 2], 0.0)
 
 
 def test_local_charge_conservation_at_events():
@@ -867,6 +969,18 @@ def test_stability_two_particle_linear_in_sigma():
     assert rep.collision_time_shift[0] <= 3e-4
     assert rep.sup_distance_pre[0] <= 1e-2
     assert rep.charges_match[0]
+
+
+def test_cluster_relabelings_are_permutations_when_clusters_overlap():
+    # the survivor of a three-particle cluster collides again: each
+    # relabeling composes the second cluster's permutations with the first's
+    from signedflow.dynamics import CollisionEvent, EventLog, _cluster_relabelings
+    events = EventLog([CollisionEvent(0.1, 0.0, (0, 1, 2), (1, -1, 1), (0, 0, 1)),
+                       CollisionEvent(0.2, 0.5, (2, 3), (1, -1), (0, 0))])
+    perms = _cluster_relabelings(events, 4)
+    assert len(perms) == 12
+    for p in perms:
+        assert sorted(p.tolist()) == [0, 1, 2, 3], p
 
 
 def test_stability_triple_survivor_sign():
