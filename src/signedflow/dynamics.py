@@ -357,7 +357,9 @@ def _checked_segment(state, pot, alpha, field):
     """The segment of ``state``; coincident charged particles, where the
     pair force is undefined, raise SingularConfigurationError."""
     seg = _Segment(state.x, state.b, pot, alpha, field)
-    if len(np.unique(seg.xc)) < seg.m:
+    # equal neighbours of a sorted copy: np.unique would import numpy.ma
+    xs = np.sort(seg.xc)
+    if np.any(xs[1:] == xs[:-1]):
         raise SingularConfigurationError(
             "coincident charged particles in force evaluation")
     return seg

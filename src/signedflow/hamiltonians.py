@@ -15,7 +15,9 @@ finds every crossing (r, sigma) on (0, rho), and the ball integral is the
 *exact* sum eps * sum sigma (V_alpha'(rho) - V_alpha'(r)) over both sides
 (int V'' = dV').  The scan runs in blocks of at most _BLOCK levels, each
 summed while its temporaries are in cache, so no array is as long as the
-level count.  The principal value pairs z with -z: up to the core radius
+level count.  A block's arrays stay below 128 KiB, glibc's default mmap
+threshold: larger temporaries risk being mapped and faulted in afresh on
+every block.  The principal value pairs z with -z: up to the core radius
 rho0, the first crossing on either side, the increment stays inside
 (-eps, eps) with the sign of z and the paired E-values eps/2 - eps/2 cancel.
 
@@ -24,8 +26,17 @@ probes (crossing sums up to the freeze radius, exact constant tails); both
 tails close with V_alpha'(inf) = 0.
 
 An increment without known critical radii is split into monotone pieces by
-a sign scan of its slope on CRIT_SAMPLES points, and every bisection
-(critical radii and level crossings) halves its brackets BISECT_ITERS times.
+a sign scan of its slope on CRIT_SAMPLES points, and each critical radius is
+refined by BISECT_ITERS halvings of its bracket.  A level crossing is
+bracketed on a grid of four samples per level and solved by Newton's method
+on the increment's slope, safeguarded by the bracket (``_solve_levels``):
+about three evaluations a level instead of BISECT_ITERS + 1.  A root stops
+once its Newton step is at most 2^-42 times the piece's largest radius.
+That is far above the few ulp by which the round-off of the increment makes
+the iterates jitter, and the step is taken, so the root is left with an
+error of order step^2 |g''/g'|.  A root whose round-off exceeds the bound
+(a probe evaluated at |x| > 2^10 times the ball, say) runs to the cap of
+BISECT_ITERS evaluations, as slow as bisection but as accurate.
 """
 
 from __future__ import annotations
@@ -54,10 +65,14 @@ __all__ = [
 ]
 
 CRIT_SAMPLES = 1024     # sign-scan points of a slope's zeros
-BISECT_ITERS = 50       # halvings of each bisection bracket
+# halvings of a critical radius's bracket, and the cap on the evaluations of
+# a Newton-solved level crossing
+BISECT_ITERS = 50
 _MAX_LEVELS = 8_000_000
-# crossings per block: the temporaries of a block stay in cache
-_BLOCK = 16_384
+# crossings per block, and grid samples per chunk of the crossing walk: a
+# block's float arrays take 64 KiB, half of glibc's default mmap threshold,
+# so its temporaries come from the heap and stay in cache
+_BLOCK = 8_192
 
 
 @dataclass(frozen=True)
@@ -183,34 +198,69 @@ def _critical_radii(dg, lo: float, hi: float):
     if hi <= lo:
         return []
     rs = np.linspace(lo, hi, CRIT_SAMPLES)
-    sign = np.sign(np.asarray(dg(rs), dtype=float))
+    slopes = np.asarray(dg(rs), dtype=float)
+    sign = np.sign(slopes)
     k = np.flatnonzero(sign[:-1] * sign[1:] < 0)
-    return _bisect_levels(dg, rs[k], rs[k + 1], 0.0).tolist() if len(k) else []
+    if not len(k):
+        return []
+    return _solve_levels(dg, rs[k], rs[k + 1], slopes[k], 0.0).tolist()
 
 
-def _bisect_levels(g, zlo, zhi, levels):
-    """Vectorized bisection for g(z) = level on brackets [zlo, zhi]."""
-    lo = zlo.copy()
-    hi = zhi.copy()
-    flo = np.asarray(g(lo), dtype=float) - levels
+def _solve_levels(g, zlo, zhi, glo, levels, dg=None, tol=0.0):
+    """Roots of g(z) = levels on brackets [zlo, zhi] where g - levels changes
+    sign, glo = g(zlo); vectorized over the brackets.
+
+    Without the slope dg: BISECT_ITERS halvings, then the midpoint.  With it:
+    Newton from the midpoint, safeguarded by bisection (rtsafe, Numerical
+    Recipes 9.4).  Each evaluation keeps the bracket by the sign of
+    g - level, and a Newton step that leaves the bracket is replaced by its
+    midpoint.  A root stops once its step is at most ``tol`` and leaves the
+    active set; the step is taken, so its error is of order step^2 g''/g'.
+    BISECT_ITERS stays the cap.
+    """
+    lo, hi = zlo.copy(), zhi.copy()
+    flo = glo - levels
+    lv = np.broadcast_to(levels, lo.shape)
+    x = 0.5 * (lo + hi)
+    root = np.empty_like(x)
+    idx = np.arange(len(x))
     for _ in range(BISECT_ITERS):
+        fx = np.asarray(g(x), dtype=float) - lv
+        west = flo * fx <= 0
+        hi = np.where(west, x, hi)
+        lo = np.where(west, lo, x)
+        flo = np.where(west, flo, fx)
         mid = 0.5 * (lo + hi)
-        fm = np.asarray(g(mid), dtype=float) - levels
-        west = flo * fm <= 0
-        hi = np.where(west, mid, hi)
-        lo = np.where(west, lo, mid)
-        flo = np.where(west, flo, fm)
-    return 0.5 * (lo + hi)
+        if dg is None:
+            x = mid
+            continue
+        with np.errstate(divide="ignore", invalid="ignore"):
+            xn = x - fx / np.asarray(dg(x), dtype=float)
+        # a zero slope gives inf or nan, which fail the bracket test
+        xn = np.where((xn >= lo) & (xn <= hi), xn, mid)
+        done = np.abs(xn - x) <= tol
+        x = xn
+        if done.any():
+            root[idx[done]] = x[done]
+            keep = ~done
+            idx, x, lo, hi, flo, lv = (idx[keep], x[keep], lo[keep],
+                                       hi[keep], flo[keep], lv[keep])
+            if not len(idx):
+                return root
+    root[idx] = x
+    return root
 
 
 def _level_blocks(j_lo: int, j_hi: int, eps: float):
     """The levels j * eps for j_lo <= j <= j_hi in blocks of at most _BLOCK,
     bit for bit the slices of one arange."""
     for j0 in range(j_lo, j_hi + 1, _BLOCK):
-        yield np.arange(j0, min(j0 + _BLOCK, j_hi + 1), dtype=float) * eps
+        levels = np.arange(j0, min(j0 + _BLOCK, j_hi + 1), dtype=float)
+        levels *= eps
+        yield levels
 
 
-def _piece_crossings(g, a: float, b: float, eps: float, inverse=None):
+def _piece_crossings(g, dg, a: float, b: float, eps: float, inverse=None):
     """Crossing radii of the levels eps*Z inside a monotone piece [a, b], in
     increasing r and in blocks of at most _BLOCK, each block with the piece's
     direction: +1 rising, -1 falling."""
@@ -220,7 +270,14 @@ def _piece_crossings(g, a: float, b: float, eps: float, inverse=None):
     # h = sign * g rises and meets the levels j * eps (j = sign * k, the same
     # bits negated) in increasing r, so the crossing sums of mirror-image
     # sides add the same terms in the same order
-    h = g if sign > 0 else (lambda r: -np.asarray(g(r), dtype=float))
+    if sign > 0:
+        h, dh = g, dg
+    else:
+        def h(r):
+            return -np.asarray(g(r), dtype=float)
+
+        def dh(r):
+            return -np.asarray(dg(r), dtype=float)
     j_lo = math.floor(sign * ga / eps) + 1
     j_hi = math.ceil(sign * gb / eps) - 1
     if j_hi < j_lo:
@@ -232,33 +289,37 @@ def _piece_crossings(g, a: float, b: float, eps: float, inverse=None):
             "increase eps or shrink the ball")
     if inverse is not None:
         for levels in _level_blocks(j_lo, j_hi, eps):
-            yield np.clip(inverse(sign * levels, a, b), a, b), sign
+            levels *= sign
+            radii = inverse(levels, a, b)
+            yield np.minimum(np.maximum(radii, a, out=radii), b, out=radii), sign
         return
-    # bracket on the grid linspace(a, b, m), walked in chunks that overlap by
-    # one sample: a level's bracket ends at the first sample with h >= level
+    # bracket on the grid linspace(a, b, m), walked in chunks of _BLOCK + 1
+    # samples that overlap by one: a level's bracket ends at the first sample
+    # with h >= level.  Newton's stop rule: see the module docstring
     m = int(min(max(256, 4 * n_levels), 4_000_000))
     step = (b - a) / (m - 1)
+    tol = 2.0 ** -42 * max(abs(a), abs(b))
     j = j_lo
-    z_last = h_last = None
-    for i0 in range(0, m, 4 * _BLOCK):
-        i1 = min(i0 + 4 * _BLOCK, m)
-        zs = np.arange(i0, i1, dtype=float) * step + a
-        if i1 == m:
+    for i0 in range(0, m - 1, _BLOCK):
+        i1 = min(i0 + _BLOCK, m - 1)
+        zs = np.arange(i0, i1 + 1, dtype=float)
+        zs *= step
+        zs += a
+        if i1 == m - 1:
             zs[-1] = b
-        hs = h(zs)
-        if z_last is not None:
-            zs, hs = np.append(z_last, zs), np.append(h_last, hs)
-        z_last, h_last = zs[-1], hs[-1]
+        hs = np.asarray(h(zs), dtype=float)
         # the pending levels at or below the chunk's last value, and in the
         # last chunk every one left: their brackets end in this chunk
-        top = j_hi if i1 == m else min(j_hi, math.floor(h_last / eps))
+        h_last = hs[-1]
+        top = j_hi if i1 == m - 1 else min(j_hi, math.floor(h_last / eps))
         while top >= j and top * eps > h_last:
             top -= 1
         while top < j_hi and (top + 1) * eps <= h_last:
             top += 1
         for levels in _level_blocks(j, top, eps):
             pos = np.clip(np.searchsorted(hs, levels), 1, len(zs) - 1)
-            yield _bisect_levels(h, zs[pos - 1], zs[pos], levels), sign
+            yield _solve_levels(h, zs[pos - 1], zs[pos], hs[pos - 1], levels,
+                                dh, tol), sign
         j = max(j, top + 1)
 
 
@@ -273,7 +334,7 @@ def _side_blocks(g, dg, lo: float, hi: float, eps: float, crit=None,
         crit = _critical_radii(dg, lo, hi)
     bounds = [lo] + sorted(c for c in crit if lo < c < hi) + [hi]
     for a, b in zip(bounds[:-1], bounds[1:]):
-        yield from _piece_crossings(g, a, b, eps, inverse=inverse)
+        yield from _piece_crossings(g, dg, a, b, eps, inverse=inverse)
 
 
 def _side_crossings(g, dg, lo: float, hi: float, eps: float, crit=None,
@@ -299,7 +360,7 @@ def _crossing_sum(pot: Potential, alpha: float, eps: float, blocks,
         if not low > 0:
             raise ValueError("potential evaluated at x = 0")
         vp = alpha ** 2 * np.asarray(pot.derivs[1](alpha * radii), dtype=float)
-        total += sign * float(np.sum(vp_hi - vp))
+        total += sign * float(np.sum(np.subtract(vp_hi, vp, out=vp)))
         least = min(least, low)
     return eps * total, least
 
@@ -529,11 +590,23 @@ def _quartic_inverses(K: float, gamma: float):
         def inv(levels, a, b):
             sig = math.copysign(1.0, 0.5 * (a + b) + shift)
             q = levels / K
-            root = np.maximum(gamma4 + q, 0.0) ** 0.25
+            # in place, on the block's own temporaries; sqrt(sqrt(.)) costs
+            # a third of ** 0.25
+            root = q + gamma4
+            np.maximum(root, 0.0, out=root)
+            np.sqrt(root, out=root)
+            np.sqrt(root, out=root)
             if sig * shift > 0:
-                return sig * q / ((root + abs(shift))
-                                  * (root * root + shift * shift))
-            return -shift + sig * root
+                den = root * root
+                den += shift * shift
+                root += abs(shift)
+                den *= root
+                q *= sig
+                q /= den
+                return q
+            root *= sig
+            root -= shift
+            return root
         return inv
 
     return inverse(gamma), inverse(-gamma)

@@ -263,10 +263,11 @@ def _march(u0: GridFunction, t_end: float, t_eval, prepare):
             info.snapshots.append((tv, u.copy()))
         if t >= t_end - 1e-300:
             break
-        d = np.diff(u) / dx
+        d = (u[1:] - u[:-1]) / dx
         mobility, vel = prepare(u, d)
         d_max = float(np.max(np.abs(d), initial=0.0))
-        rate = float(np.max(np.abs(np.diff(mobility(d)[1])), initial=0.0)) / dx
+        g = mobility(d)[1]
+        rate = float(np.max(np.abs(g[1:] - g[:-1]), initial=0.0)) / dx
         dt_move = dx * d_max / rate if rate > 0 else math.inf
         vmax = float(np.max(np.abs(vel)))
         dt_adv = dx / vmax if vmax > 0 else math.inf
@@ -307,10 +308,10 @@ def _implicit_diffusion(u, rhs, dt, dx, mobility):
     r = dt / dx
     tol = NEWTON_RTOL * float(np.max(np.abs(u)))
     for it in range(1, NEWTON_MAX_ITERS + 1):
-        f, g = mobility(np.diff(v) / dx)
+        f, g = mobility((v[1:] - v[:-1]) / dx)
         w = (r / dx) * f
         off, diag = -w[1:-1], 1.0 + w[:-1] + w[1:]
-        res = v[1:-1] - rhs - r * np.diff(g)
+        res = v[1:-1] - rhs - r * (g[1:] - g[:-1])
         if len(diag) < 2:   # dgtsv's wrapper rejects systems of order < 2
             step, info = res / diag, 0
         else:

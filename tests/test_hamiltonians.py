@@ -171,6 +171,112 @@ def test_bisected_crossings_match_closed_form(x):
         assert np.max(np.abs(radii - exact)) <= 1e-13
 
 
+# sin at x = 1.2 and 1.5 has a critical radius inside the right side's
+# ball, so the last brackets of its first piece end at a critical point
+@pytest.mark.parametrize("probe, x", [("sin", 0.3), ("sin", -0.4),
+                                      ("sin", 1.2), ("sin", 1.5),
+                                      ("cubic", -0.7)])
+@pytest.mark.parametrize("eps", [1e-3, 1e-5])
+def test_newton_crossings_match_bisection(monkeypatch, probe, x, eps):
+    # every root within a few ulp of its own conditioning: the round-off of
+    # the argument x + r and of the probe's values over the slope
+    phi = getattr(TestFunction, probe)()
+    f0 = float(phi.f(np.array([x]))[0])
+    solve = hamiltonians._solve_levels
+    for side in (1, -1):
+        def g(r, side=side):
+            return np.asarray(phi.f(x + side * np.asarray(r)), dtype=float) - f0
+
+        def dg(r, side=side):
+            return side * np.asarray(phi.d1(x + side * np.asarray(r)),
+                                     dtype=float)
+
+        newton, signs = hamiltonians._side_crossings(g, dg, 0.0, 1.0, eps)
+        with monkeypatch.context() as mp:
+            # the same brackets, each solved without its slope
+            mp.setattr(hamiltonians, "_solve_levels",
+                       lambda g, zlo, zhi, glo, levels, dg=None, tol=0.0:
+                       solve(g, zlo, zhi, glo, levels))
+            bisect, bisect_signs = hamiltonians._side_crossings(g, dg, 0.0,
+                                                                1.0, eps)
+        assert len(newton) == len(bisect) and np.array_equal(signs,
+                                                             bisect_signs)
+        z = x + side * bisect
+        cond = (np.spacing(abs(x) + bisect)
+                + np.spacing(1.0 + np.abs(phi.f(z))) / np.abs(phi.d1(z)))
+        assert np.all(np.abs(newton - bisect) <= 4 * cond)
+
+
+@pytest.mark.parametrize("probe, x", [("sin", 0.3), ("sin", 1.2),
+                                      ("cubic", -0.7)])
+@pytest.mark.parametrize("eps", [1e-2, 1e-4, 1e-5])
+def test_newton_evaluates_few_times_per_block(monkeypatch, probe, x, eps):
+    # g is evaluated about three times a level, not BISECT_ITERS + 1 times;
+    # a root next to its bracket's end may take a few halvings alone
+    solve = hamiltonians._solve_levels
+    blocks = []
+
+    def counted(g, zlo, zhi, glo, levels, dg=None, tol=0.0):
+        sizes = []
+
+        def g_counted(r):
+            sizes.append(len(r))
+            return g(r)
+
+        out = solve(g_counted, zlo, zhi, glo, levels, dg, tol)
+        if dg is not None:  # not the bisection of a critical radius
+            blocks.append((len(zlo), sizes))
+        return out
+
+    monkeypatch.setattr(hamiltonians, "_solve_levels", counted)
+    phi = getattr(TestFunction, probe)()
+    alpha = ScalingRegime(m=2).alpha_of_eps(eps)
+    hamiltonians._paired_ball(phi, x, WALL, 1.0, eps, alpha)
+    levels = sum(n for n, _ in blocks)
+    assert levels > 0
+    assert max(len(sizes) for _, sizes in blocks) <= 16
+    assert sum(sum(sizes) for _, sizes in blocks) <= 4 * levels
+
+
+def test_newton_stops_on_a_jittering_function():
+    # g rises with slope 1 through 0.5 + k / 1024 and carries a round-off
+    # of about 5 ulp, so Newton's steps jitter by several ulp and never fall
+    # below 4 ulp; the step rule still ends every root in a few evaluations
+    calls = []
+
+    def g(r):
+        calls.append(len(r))
+        r = np.asarray(r, dtype=float)
+        return r - 0.5 + 5 * np.spacing(0.5) * np.sign(np.sin(1e16 * r))
+
+    levels = np.arange(1, 101) / 1024.0
+    exact = 0.5 + levels
+    lo, hi = exact - 1e-3, exact + 2e-3
+    for tol, most in ((2.0 ** -42 * 0.5, 4), (4 * np.spacing(1.0), None)):
+        calls.clear()
+        roots = hamiltonians._solve_levels(
+            g, lo, hi, g(lo), levels, lambda r: np.ones_like(r), tol)
+        assert np.all(np.abs(roots - exact) <= 16 * np.spacing(exact))
+        if most is not None:
+            assert len(calls) - 1 <= most
+        else:   # a 4-ulp rule leaves some roots to the cap
+            assert len(calls) - 1 == hamiltonians.BISECT_ITERS
+
+
+def test_newton_keeps_the_bracket_at_a_zero_slope():
+    # both brackets start Newton at r = 0, where the slope of r^3 is zero:
+    # the step is inf or nan, the midpoint is taken instead, and Newton
+    # resumes from there
+    def g(r):
+        return np.asarray(r, dtype=float) ** 3
+
+    lo, hi = np.array([-1.0, -1.0]), np.array([1.0, 1.0])
+    roots = hamiltonians._solve_levels(
+        g, lo, hi, g(lo), np.array([1e-3, 0.125]), lambda r: 3 * r * r,
+        2.0 ** -42)
+    assert roots == pytest.approx([0.1, 0.5], rel=1e-15)
+
+
 @pytest.mark.parametrize("q", [1e-12, 1e-8, 1e-4])
 @pytest.mark.parametrize("gamma", [0.5, -0.5, 1.0, -1.0, 2.0, -2.0])
 def test_quartic_inverse_near_zero_high_precision(gamma, q):

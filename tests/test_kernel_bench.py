@@ -1,12 +1,15 @@
 """Layer benchmarks of the pair force kernel ``_Segment.rhs``, of one
-step attempt ``_rk_attempt`` and of one local or nonlocal PDE step.
+step attempt ``_rk_attempt``, of one local or nonlocal PDE step and of one
+quantized-operator evaluation.
 
 Two particle sizes: m = 18 charges of a ``collide`` run, whose list holds
 every pair in one chunk and whose attempts use the Dormand-Prince pair, and
 the m = 300 wall particles of ``repel``, whose band keeps w = 123 offsets,
 29,274 pairs in four chunks, and whose attempts use the Bogacki-Shampine
 pair.  The PDE steps start from the ``continuum`` workload's N = 512 grids.
-``benchmark.pedantic`` fixes the number of calls, so the six take about a
+The quantized operator is evaluated as the ``verify`` workload does, at
+eps = 1e-4: one shifted-quartic probe and the sin probe's m = 2 row.
+``benchmark.pedantic`` fixes the number of calls, so the eight take about a
 second together.  Run alone, with the timing table:
 
     python -m pytest tests/test_kernel_bench.py
@@ -17,7 +20,9 @@ import math
 import numpy as np
 import pytest
 
-from signedflow import (GridFunction, log_potential, pde, solve_local,
+from signedflow import (ClampedProbe, GridFunction, HamiltonianParams,
+                        ScalingRegime, TestFunction, log_potential, pde,
+                        quantized_nonlocal, quartic_probe_value, solve_local,
                         solve_nonlocal, wall_potential)
 from signedflow.dynamics import (_BS3, _DP5, _KERNEL_ERRSTATE, _band_cutoff,
                                  _rk_attempt, _Segment)
@@ -148,3 +153,28 @@ def test_pde_step_benchmark(benchmark, kind):
     # a step depends on its input alone, so every call repeats the first
     assert out.tobytes() == ref.tobytes() and iters == ref_iters
     assert np.all(np.isfinite(out)) and iters > 1
+
+
+@pytest.mark.parametrize("probe", ["quartic", "sin"])
+def test_quantized_probe_benchmark(benchmark, probe):
+    # the finest resolution of the verify workload: a quartic probe of its
+    # sweep (closed-form crossings) and the m = 2 row of its table (Newton
+    # crossings), on the wall potential
+    eps = 1e-4
+    alpha = ScalingRegime(m=2).alpha_of_eps(eps)
+    if probe == "quartic":
+        fn, args = quartic_probe_value, (wall_potential(), 2.0, 0.5, eps,
+                                         alpha)
+    else:
+        phi = TestFunction.sin()
+        fn, args = quantized_nonlocal, (phi, ClampedProbe(phi, 0.3, 1.0), 0.3,
+                                        wall_potential(),
+                                        HamiltonianParams(1.0, eps, alpha))
+    ref = fn(*args)
+    outs = []
+    benchmark.pedantic(lambda: outs.append(fn(*args)), rounds=20,
+                       iterations=1, warmup_rounds=1)
+    # an evaluation depends on its input alone, so every call repeats the
+    # first
+    assert math.isfinite(ref) and len(outs) == 21
+    assert all(out.hex() == ref.hex() for out in outs)
