@@ -31,12 +31,12 @@ refined by BISECT_ITERS halvings of its bracket.  A level crossing is
 bracketed on a grid of four samples per level and solved by Newton's method
 on the increment's slope, safeguarded by the bracket (``_solve_levels``):
 about three evaluations a level instead of BISECT_ITERS + 1.  A root stops
-once its Newton step is at most 2^-42 times the piece's largest radius.
-That is far above the few ulp by which the round-off of the increment makes
-the iterates jitter, and the step is taken, so the root is left with an
-error of order step^2 |g''/g'|.  A root whose round-off exceeds the bound
-(a probe evaluated at |x| > 2^10 times the ball, say) runs to the cap of
-BISECT_ITERS evaluations, as slow as bisection but as accurate.
+once its Newton step is at most 2^-42 (|x| + r_max), with x the centre of
+the probe's argument x + r and r_max the piece's largest radius.  That is
+far above the few ulp of |x| + r by which the round-off of the increment
+makes the iterates jitter, and the step is taken, so the root is left with
+an error of order step^2 |g''/g'|.  The cap of BISECT_ITERS evaluations
+stays, for a root that jitters more.
 """
 
 from __future__ import annotations
@@ -47,8 +47,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConvergenceError, DegenerateGradientError
-from .potentials import (Potential, ScalingRegime, l1_norm, lattice_series,
-                         rescaled_derivative)
+from .potentials import (Potential, ScalingRegime, _tanh_sinh, l1_norm,
+                         lattice_series, rescaled_derivative)
 from .staircase import Staircase, staircase_identity
 
 __all__ = [
@@ -173,15 +173,21 @@ def _vp_bounds(pot: Potential, alpha: float, bounds):
 
 def kernel_second_moment(pot: Potential, alpha: float, rho: float,
                          quad_tol: float = 1e-10) -> float:
-    """int_{B_rho} z^2 V_alpha''(z) dz = 2 int_0^{alpha rho} y^2 V''(y) dy."""
-    from scipy import integrate
+    """int_{B_rho} z^2 V_alpha''(z) dz = 2 int_0^{alpha rho} y^2 V''(y) dy.
 
-    val, _ = integrate.quad(lambda y: y ** 2 * pot.deriv(y, 2),
-                            0.0, alpha * rho, epsabs=quad_tol, epsrel=1e-10,
-                            limit=400)
-    if not math.isfinite(val):
+    The integral is the tanh-sinh rule of ``potentials._tanh_sinh`` to
+    quad_tol / 2 (relative where it exceeds 1).  Its nodes reach 1e-275 of
+    alpha rho from 0, the values where y^2 V'' overflows come from the power
+    law through the last finite ones, and so does the piece below the last
+    node.  A kernel with y^2 V'' ~ y^-p, p >= 1, at 0 raises ConvergenceError.
+    """
+    try:
+        val = _tanh_sinh(lambda y: y ** 2 * pot.deriv(y, 2), alpha * rho,
+                         quad_tol / 2)
+    except ConvergenceError as exc:
         raise ConvergenceError(
-            "second kernel moment diverges; x^2 V'' not locally integrable")
+            "second kernel moment diverges; x^2 V'' not locally integrable: "
+            f"{exc}") from exc
     return 2.0 * val
 
 
@@ -260,10 +266,12 @@ def _level_blocks(j_lo: int, j_hi: int, eps: float):
         yield levels
 
 
-def _piece_crossings(g, dg, a: float, b: float, eps: float, inverse=None):
+def _piece_crossings(g, dg, a: float, b: float, eps: float, x: float,
+                     inverse=None):
     """Crossing radii of the levels eps*Z inside a monotone piece [a, b], in
     increasing r and in blocks of at most _BLOCK, each block with the piece's
-    direction: +1 rising, -1 falling."""
+    direction: +1 rising, -1 falling.  x is the centre of g's argument
+    x + r, whose round-off sets Newton's stop bound."""
     ga, gb = _scalar(g, a), _scalar(g, b)
     sign = 1.0 if ga <= gb else -1.0
 
@@ -298,7 +306,7 @@ def _piece_crossings(g, dg, a: float, b: float, eps: float, inverse=None):
     # with h >= level.  Newton's stop rule: see the module docstring
     m = int(min(max(256, 4 * n_levels), 4_000_000))
     step = (b - a) / (m - 1)
-    tol = 2.0 ** -42 * max(abs(a), abs(b))
+    tol = 2.0 ** -42 * (abs(x) + max(abs(a), abs(b)))
     j = j_lo
     for i0 in range(0, m - 1, _BLOCK):
         i1 = min(i0 + _BLOCK, m - 1)
@@ -323,24 +331,26 @@ def _piece_crossings(g, dg, a: float, b: float, eps: float, inverse=None):
         j = max(j, top + 1)
 
 
-def _side_blocks(g, dg, lo: float, hi: float, eps: float, crit=None,
-                 inverse=None):
+def _side_blocks(g, dg, lo: float, hi: float, eps: float, x: float,
+                 crit=None, inverse=None):
     """eps*Z crossings of g on (lo, hi) in increasing r, as blocks of
     (radii, sign): E_eps[g] steps by sign * eps at each radius and nowhere
-    else."""
+    else.  x is the centre of g's argument x + r."""
     if hi <= lo:
         return
     if crit is None:
         crit = _critical_radii(dg, lo, hi)
     bounds = [lo] + sorted(c for c in crit if lo < c < hi) + [hi]
     for a, b in zip(bounds[:-1], bounds[1:]):
-        yield from _piece_crossings(g, dg, a, b, eps, inverse=inverse)
+        yield from _piece_crossings(g, dg, a, b, eps, x, inverse=inverse)
 
 
 def _side_crossings(g, dg, lo: float, hi: float, eps: float, crit=None,
-                    inverse=None):
-    """The blocks of ``_side_blocks`` joined into (radii, signs)."""
-    blocks = list(_side_blocks(g, dg, lo, hi, eps, crit=crit, inverse=inverse))
+                    inverse=None, x: float = 0.0):
+    """The blocks of ``_side_blocks`` joined into (radii, signs); x = 0 for
+    a g whose argument is r itself."""
+    blocks = list(_side_blocks(g, dg, lo, hi, eps, x, crit=crit,
+                               inverse=inverse))
     return (np.concatenate([np.empty(0)] + [r for r, _ in blocks]),
             np.concatenate([np.empty(0)]
                            + [np.full(len(r), sign) for r, sign in blocks]))
@@ -389,11 +399,11 @@ def _paired_ball(phi: TestFunction, x: float, pot: Potential, rho: float,
         return np.asarray(phi.f(x - np.asarray(r)), dtype=float) - f0
 
     ball_right, rho0_right = _crossing_sum(pot, alpha, eps, _side_blocks(
-        g_right, lambda r: phi.d1(x + np.asarray(r)), 0.0, rho, eps,
+        g_right, lambda r: phi.d1(x + np.asarray(r)), 0.0, rho, eps, x,
         crit=crit_right, inverse=inverse_right), rho)
     ball_left, rho0_left = _crossing_sum(pot, alpha, eps, _side_blocks(
         g_left, lambda r: -np.asarray(phi.d1(x - np.asarray(r)), dtype=float),
-        0.0, rho, eps, crit=crit_left, inverse=inverse_left), rho)
+        0.0, rho, eps, x, crit=crit_left, inverse=inverse_left), rho)
     # one sum per side: the two sides of an odd increment cancel exactly
     return ball_right + ball_left, min(rho0_right, rho0_left)
 
@@ -437,7 +447,8 @@ def _tail_quantized(far, x: float, pot: Potential, rho: float, eps: float,
         if smooth is not None:
             g, dg, r_hi = smooth
             steps, first = _crossing_sum(pot, alpha, eps,
-                                         _side_blocks(g, dg, rho, r_hi, eps),
+                                         _side_blocks(g, dg, rho, r_hi, eps,
+                                                      x),
                                          r_hi)
             # E on (rho, first crossing), then its steps at the crossings
             e0 = staircase_identity(_scalar(g, 0.5 * (rho + first)), eps,

@@ -413,7 +413,8 @@ def solve_nonlocal(u0: GridFunction, pot: Potential, alpha: float,
     a whole number of cells (at least 2).  Returns (GridFunction,
     SolveInfo), with ``t_eval`` and ``t_end`` under ``simulate``'s time
     contract, as in ``solve_local``.  An explicit velocity above
-    VELOCITY_GUARD raises ConvergenceError with a grid-refinement hint.
+    VELOCITY_GUARD raises ConvergenceError with a grid-refinement hint, and
+    a kernel whose second moment diverges raises it before the first step.
     """
     dx = u0.dx
     n = u0.n

@@ -29,8 +29,10 @@ that overflows.
 
 Fixed numerics are module constants: check_lipschitz samples LIPSCHITZ_GRID
 and allows the bound times LIPSCHITZ_SLACK, lattice_series sums at most
-LATTICE_TERMS_MAX terms, and the audits' grids and thresholds are the
-constants from AUDIT_GRID on.
+LATTICE_TERMS_MAX terms, the tanh-sinh rule of l1_norm, of the audits and of
+hamiltonians.kernel_second_moment takes nodes up to |t| = QUAD_T_MAX and at
+most QUAD_LEVELS halvings of its step, and the audits' grids and thresholds
+are the constants from AUDIT_GRID on.
 """
 
 from __future__ import annotations
@@ -302,6 +304,8 @@ def make_potential(spec: dict) -> Potential:
 LIPSCHITZ_GRID = (-10.0, 10.0, 2001)    # check_lipschitz's samples of U'
 LIPSCHITZ_SLACK = 1.01
 LATTICE_TERMS_MAX = 2 ** 20     # lattice_series sums at most this many terms
+QUAD_T_MAX = 6.0    # _tanh_sinh's outermost node: 1e-275 of the interval from its end
+QUAD_LEVELS = 10    # _tanh_sinh's finest step, 2^-QUAD_LEVELS
 
 
 @dataclass(frozen=True)
@@ -401,11 +405,90 @@ def rescaled_derivative(pot: Potential, alpha: float, x, order: int):
     return alpha ** (order + 1) * pot.deriv(np.asarray(x, dtype=float) * alpha, order)
 
 
+def _tanh_sinh(fn, b: float, tol: float) -> float:
+    """int_0^b fn(x) dx by the tanh-sinh rule (Takahasi & Mori, Publ. RIMS 9,
+    1974), for a vectorized fn that is finite on (0, b] and may be singular
+    at 0.
+
+    x = b / (1 + e^(-pi sinh t)) maps t in R onto (0, b), and the trapezoid
+    sum in t converges double exponentially.  The node at +-t lies b d from
+    the nearer end, d = 1 / (1 + e^(pi sinh |t|)): it is taken as b d or
+    b - b d, so the nodes near 0 keep their relative precision down to
+    d ~ 1e-275 at |t| = QUAD_T_MAX.  Its weight is pi cosh(t) d (1 - d) b.
+    The steps h = 1, 1/2, 1/4, ... reuse every value of the previous level,
+    and the sum stops once two levels from h = 1/4 on agree to tol (relative
+    where the integral exceeds 1).  After QUAD_LEVELS halvings it raises
+    ConvergenceError, as it does on a kink inside (0, b), where the sum
+    converges like h^2 only.
+
+    Near 0 a product inside fn may overflow (x^2 V'' with V'' = inf).  Values
+    that are not finite may only follow the finite ones towards 0; they are
+    filled in from the power law x^-p through the last two finite nodes.  The
+    same law continues the sum past |t| = QUAD_T_MAX, whose terms fall like
+    cosh(t) d^(1 - p), until they are e^-50 of the last node's: that piece
+    is not small when p is near 1.  p >= 1 means the integral diverges at 0:
+    ConvergenceError.
+    """
+    if not (math.isfinite(b) and b > 0):
+        raise ValueError(f"integration bound must be finite and positive, got {b!r}")
+    h, t = 1.0, np.arange(QUAD_T_MAX + 1.0)
+    nodes, prev = None, None
+    for level in range(QUAD_LEVELS + 1):
+        if level:
+            h *= 0.5
+            t = np.arange(h, QUAD_T_MAX, 2.0 * h)
+        d = 1.0 / (1.0 + np.exp(np.pi * np.sinh(t)))
+        x = b * d
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            f = np.asarray(fn(np.concatenate([x, b - x])), dtype=float)
+        new = (x, np.pi * np.cosh(t) * d * (1.0 - d), f[:len(x)], f[len(x):])
+        if level:
+            # the new nodes fall between the previous level's: increasing t
+            merged = [np.empty(2 * len(t) + 1) for _ in new]
+            for out, old, add in zip(merged, nodes, new):
+                out[0::2], out[1::2] = old, add
+            new = merged
+        nodes = new
+        xs, w, left, right = nodes
+        ok = np.isfinite(left)
+        cut = len(left) if ok.all() else int(np.argmin(ok))
+        if cut < 2 or ok[cut:].any() or not np.isfinite(right).all():
+            raise ConvergenceError("integrand is not finite inside (0, b)")
+        x0, f0 = xs[cut - 1], left[cut - 1]
+        beyond = 0.0
+        if f0 != 0.0:
+            with np.errstate(divide="ignore", invalid="ignore"):
+                p = float(np.log(abs(f0 / left[cut - 2]))
+                          / np.log(xs[cut - 2] / x0))
+            if not p < 1.0:
+                raise ConvergenceError(
+                    f"integral diverges at 0: integrand ~ x^-{p:.3g} there")
+            left = np.where(ok, left, f0 * (xs / x0) ** -p)
+            # the terms past the last node, relative to its own, as
+            # cosh(t) d^(1 - p) with d = e^(-pi sinh t), down to e^-50
+            s_end = math.sinh(QUAD_T_MAX) + 50.0 / ((1.0 - p) * math.pi)
+            tb = QUAD_T_MAX + h * np.arange(
+                1.0, math.ceil((math.asinh(s_end) - QUAD_T_MAX) / h) + 1.0)
+            beyond = float(np.sum(np.cosh(tb) * np.exp(
+                (p - 1.0) * math.pi * (np.sinh(tb) - math.sinh(QUAD_T_MAX)))))
+            beyond /= math.cosh(QUAD_T_MAX)
+        # the node at t = 0 is both left[0] and right[0]
+        total = h * b * (w @ left + w[-1] * left[-1] * beyond
+                         + w[1:] @ right[1:])
+        if level >= 2 and abs(total - prev) <= tol * max(1.0, abs(total)):
+            return total
+        prev = total
+    raise ConvergenceError(
+        f"tanh-sinh quadrature did not reach tol={tol:g} at h = 2^-{QUAD_LEVELS}")
+
+
 def l1_norm(pot: Potential, tol: float = 1e-10) -> float:
     """Integral of |V| over R, split at |x| = 1.
 
-    The origin piece uses tanh-sinh quadrature (handles integrable
-    singularities); the tail uses the substitution x = e^u.
+    Both pieces use the tanh-sinh rule ``_tanh_sinh`` to tol/8: the origin
+    piece on (0, 1), where |V| may be singular at 0, and the tail piece in
+    u = log x on (0, u_max), with u_max grown in steps of 4 until
+    |V(e^u)| e^u < tol/100.
     """
     key = ("l1", tol)
     if key in pot._cache:
@@ -415,13 +498,7 @@ def l1_norm(pot: Potential, tol: float = 1e-10) -> float:
         raise NonIntegrableError(
             f"potential '{pot.name}' is not integrable on R ({end} diverges)", end)
 
-    from scipy import integrate
-
-    res = integrate.tanhsinh(lambda x: np.abs(pot.deriv(x, 0)), 0.0, 1.0,
-                             atol=tol / 8, rtol=0.0)
-    if not res.success:
-        raise ConvergenceError("tanh-sinh quadrature failed on (0, 1)")
-    origin = float(res.integral)
+    origin = _tanh_sinh(lambda x: np.abs(pot.deriv(x, 0)), 1.0, tol / 8)
     # tail via x = e^u; extend u until the integrand is below tolerance
     u_max = 4.0
     while abs(pot.deriv(math.exp(u_max), 0)) * math.exp(u_max) > tol / 100:
@@ -429,12 +506,13 @@ def l1_norm(pot: Potential, tol: float = 1e-10) -> float:
         if u_max > 64.0:
             raise NonIntegrableError(
                 f"tail of |V| for '{pot.name}' decays too slowly", "tail")
-    tail, terr = integrate.quad(
-        lambda u: abs(pot.deriv(math.exp(u), 0)) * math.exp(u),
-        0.0, u_max, epsabs=tol / 8, epsrel=0.0, limit=400)
-    if not math.isfinite(tail) or terr > tol:
+    try:
+        tail = _tanh_sinh(lambda u: np.abs(pot.deriv(np.exp(u), 0)) * np.exp(u),
+                          u_max, tol / 8)
+    except ConvergenceError as exc:
         raise NonIntegrableError(
-            f"tail quadrature of |V| for '{pot.name}' did not converge", "tail")
+            f"tail quadrature of |V| for '{pot.name}' did not converge: {exc}",
+            "tail") from exc
     val = 2.0 * (origin + tail)
     pot._cache[key] = val
     return val
@@ -571,14 +649,17 @@ AUDIT_PROFILES = ("well-posedness", "hj1", "hj2", "hj3")
 
 # Sampling grids and thresholds of the audits: the log grid of the sign
 # checks (lo, hi, points) and the alphas it is scaled by, the window and the
-# largest log residual of the singularity fit, and the decades summed by the
-# origin and tail integrals
+# largest log residual of the singularity fit, the decades summed by the
+# origin and tail integrals, and the tolerance of each decade's sum and the
+# halvings it may take to get there
 AUDIT_GRID = (1e-6, 1e2, 161)
 SIGN_ALPHAS = (0.5, 1.0, 10.0)
 FIT_WINDOW = (1e-6, 1e-2)
 FIT_RESID_MAX = 0.3
 ORIGIN_DECADES = 7
 TAIL_DECADES = 5
+DECADE_TOL = 1e-10
+DECADE_SPLITS = 12
 
 
 def _fit_singularity(pot: Potential) -> dict:
@@ -593,18 +674,37 @@ def _fit_singularity(pot: Potential) -> dict:
             "resid": resid, "ok": resid < FIT_RESID_MAX}
 
 
+def _piece_integral(fn, lo: float, hi: float, splits: int) -> float:
+    """int_lo^hi fn by the tanh-sinh rule to DECADE_TOL, halving (lo, hi) up
+    to ``splits`` times where the rule does not converge: across a kink, such
+    as |V| where V changes sign, it converges like h^2 only, and each halving
+    quarters the error of the piece that holds the kink."""
+    try:
+        return _tanh_sinh(lambda r: fn(lo + r), hi - lo, DECADE_TOL)
+    except ConvergenceError:
+        if not splits:
+            raise
+        mid = 0.5 * (lo + hi)
+        return (_piece_integral(fn, lo, mid, splits - 1)
+                + _piece_integral(fn, mid, hi, splits - 1))
+
+
 def _converging_integral(fn, n_decades: int, end: str) -> dict:
     """Evidence that the integral of fn at ``end`` converges: partial
     integrals over (10^-k, 1) at the "origin" or over (1, 10^k) in the
-    "tail", accumulated decade by decade so no mass is missed."""
-    from scipy import integrate
-
+    "tail", accumulated decade by decade so no mass is missed.  A decade
+    that does not converge in DECADE_SPLITS halvings is no evidence, and
+    the item fails with its error."""
     s = -1 if end == "origin" else 1
     partials = []
     total = 0.0
     for k in range(1, n_decades + 1):
         lo, hi = sorted((10.0 ** (s * (k - 1)), 10.0 ** (s * k)))
-        total += integrate.quad(fn, lo, hi, limit=200)[0]
+        try:
+            total += _piece_integral(fn, lo, hi, DECADE_SPLITS)
+        except ConvergenceError as exc:
+            return {"partials": [float(p) for p in partials],
+                    "estimate": None, "converged": False, "error": str(exc)}
         partials.append(total)
     incs = np.abs(np.diff(partials))
     converged = bool(incs[-1] < 0.05 * (abs(partials[-1]) + 1e-30)
@@ -690,7 +790,7 @@ def audit_assumptions(pot: Potential, profile: str) -> ComplianceReport:
         return ComplianceItem(name, "pass" if ev["converged"] else "fail", ev)
 
     def x3_v3(x):
-        return x ** 3 * float(pot.envelope(x, 3))
+        return x ** 3 * np.asarray(pot.envelope(x, 3))
 
     items.append(_order_item(pot, 4 if profile == "hj3" else 3))
     if profile == "hj2":

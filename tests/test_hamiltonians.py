@@ -5,14 +5,14 @@ import math
 import numpy as np
 import pytest
 
-from signedflow import (ClampedProbe, DegenerateGradientError,
-                        HamiltonianParams, ScalingRegime, Staircase,
-                        TestFunction, compensated_nonlocal,
-                        kernel_second_moment, limiting_rhs, log_potential,
-                        quantized_nonlocal, quartic_probe_sweep,
-                        quartic_probe_value, rescaled_derivative,
-                        rhs_convergence_table, staircase_identity,
-                        wall_potential)
+from signedflow import (ClampedProbe, ConvergenceError,
+                        DegenerateGradientError, HamiltonianParams,
+                        ScalingRegime, Staircase, TestFunction,
+                        compensated_nonlocal, kernel_second_moment,
+                        limiting_rhs, log_potential, quantized_nonlocal,
+                        quartic_probe_sweep, quartic_probe_value,
+                        rescaled_derivative, rhs_convergence_table,
+                        riesz_potential, staircase_identity, wall_potential)
 from signedflow import hamiltonians
 
 PI2_3 = math.pi ** 2 / 3.0
@@ -85,7 +85,8 @@ def _reference_ball(phi, x, pot, rho, eps, alpha, envelope="upper",
         if crit is None:
             crit = hamiltonians._critical_radii(dg, 0.0, rho)
         radii, _ = hamiltonians._side_crossings(g, dg, 0.0, rho, eps,
-                                                crit=crit, inverse=inverse)
+                                                crit=crit, inverse=inverse,
+                                                x=x)
         sides.append((g, radii, [c for c in crit if 0.0 < c < rho]))
     crossings = np.concatenate([radii for _, radii, _ in sides])
     rho0 = float(crossings.min(initial=rho))
@@ -172,10 +173,11 @@ def test_bisected_crossings_match_closed_form(x):
 
 
 # sin at x = 1.2 and 1.5 has a critical radius inside the right side's
-# ball, so the last brackets of its first piece end at a critical point
+# ball, so the last brackets of its first piece end at a critical point; at
+# x = 1e5 the round-off of x + r is 1e5 times that of the radii
 @pytest.mark.parametrize("probe, x", [("sin", 0.3), ("sin", -0.4),
                                       ("sin", 1.2), ("sin", 1.5),
-                                      ("cubic", -0.7)])
+                                      ("cubic", -0.7), ("sin", 1e5)])
 @pytest.mark.parametrize("eps", [1e-3, 1e-5])
 def test_newton_crossings_match_bisection(monkeypatch, probe, x, eps):
     # every root within a few ulp of its own conditioning: the round-off of
@@ -191,14 +193,15 @@ def test_newton_crossings_match_bisection(monkeypatch, probe, x, eps):
             return side * np.asarray(phi.d1(x + side * np.asarray(r)),
                                      dtype=float)
 
-        newton, signs = hamiltonians._side_crossings(g, dg, 0.0, 1.0, eps)
+        newton, signs = hamiltonians._side_crossings(g, dg, 0.0, 1.0, eps,
+                                                     x=x)
         with monkeypatch.context() as mp:
             # the same brackets, each solved without its slope
             mp.setattr(hamiltonians, "_solve_levels",
                        lambda g, zlo, zhi, glo, levels, dg=None, tol=0.0:
                        solve(g, zlo, zhi, glo, levels))
             bisect, bisect_signs = hamiltonians._side_crossings(g, dg, 0.0,
-                                                                1.0, eps)
+                                                                1.0, eps, x=x)
         assert len(newton) == len(bisect) and np.array_equal(signs,
                                                              bisect_signs)
         z = x + side * bisect
@@ -208,7 +211,7 @@ def test_newton_crossings_match_bisection(monkeypatch, probe, x, eps):
 
 
 @pytest.mark.parametrize("probe, x", [("sin", 0.3), ("sin", 1.2),
-                                      ("cubic", -0.7)])
+                                      ("cubic", -0.7), ("sin", 1e5)])
 @pytest.mark.parametrize("eps", [1e-2, 1e-4, 1e-5])
 def test_newton_evaluates_few_times_per_block(monkeypatch, probe, x, eps):
     # g is evaluated about three times a level, not BISECT_ITERS + 1 times;
@@ -408,6 +411,24 @@ def test_kernel_second_moment_log():
     # log kernel: int_{B_rho} z^2 V_alpha'' dz = 2 alpha rho
     assert kernel_second_moment(LOGP, 1.0, 0.5) == pytest.approx(1.0, abs=1e-9)
     assert kernel_second_moment(LOGP, 3.0, 0.5) == pytest.approx(3.0, abs=1e-9)
+
+
+@pytest.mark.parametrize("rho", [1.0, 0.05])
+@pytest.mark.parametrize("a", [0.5, 0.9, 0.99])
+def test_kernel_second_moment_riesz_closed_form(a, rho):
+    # z^2 V'' = a (a+1) z^-a: 2 a (a+1) rho^(1-a) / (1-a), 3, 34.2 and 394.02
+    # at rho = 1.  At a = 0.9, z^2 V'' overflows below z ~ 1e-106; at
+    # a = 0.99, a third of the integral lies below z = 1e-275 rho
+    exact = 2.0 * a * (a + 1.0) * rho ** (1.0 - a) / (1.0 - a)
+    assert abs(kernel_second_moment(riesz_potential(a), 1.0, rho, 1e-10)
+               - exact) <= 1e-10
+
+
+@pytest.mark.parametrize("rho", [1.0, 0.05])
+@pytest.mark.parametrize("a", [1.0, 1.5])
+def test_kernel_second_moment_divergent_kernel_raises(a, rho):
+    with pytest.raises(ConvergenceError, match="second kernel moment diverges"):
+        kernel_second_moment(riesz_potential(a), 1.0, rho)
 
 
 # ---------------------------------------------------------------------------

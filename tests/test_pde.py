@@ -236,6 +236,22 @@ def test_nonlocal_velocity_guard_raises(monkeypatch):
         solve_nonlocal(u0, LOGP, 1.0, None, 0.02)
 
 
+def test_nonlocal_refuses_a_divergent_kernel_before_stepping(monkeypatch):
+    # z^2 V'' = 3.75 z^-1.5 is not integrable at 0: the ball term has no
+    # finite mobility, and the solve stops before its time loop
+    from signedflow import pde, riesz_potential
+
+    def no_march(*args, **kwargs):
+        raise AssertionError("the time loop was entered")
+
+    monkeypatch.setattr(pde, "_march", no_march)
+    xs = np.linspace(-2, 2, 129)
+    vals = 0.5 * (1 + np.tanh(2 * xs))
+    u0 = GridFunction(-2.0, xs[1] - xs[0], vals, vals[0], vals[-1])
+    with pytest.raises(ConvergenceError, match="second kernel moment diverges"):
+        solve_nonlocal(u0, riesz_potential(1.5), 1.0, None, 0.02)
+
+
 def test_grid_refinement_first_order(wall_l1):
     D = wall_l1 / 2.0
     L, t0 = 3.2, 1.0

@@ -235,6 +235,13 @@ def test_l1_nonintegrable_riesz_ends():
     assert err.value.end == "origin"
 
 
+def test_l1_custom_endpoint_singularity_and_exponential_tail():
+    # |x|^-1/2 e^-|x| integrates to 2 Gamma(1/2) = 2 sqrt(pi) over R
+    pot = custom_potential([lambda x: x ** -0.5 * np.exp(-x)], name="gamma",
+                           l1_integrable=True, tail_class="exponential")
+    assert abs(l1_norm(pot, 1e-10) - 2.0 * math.sqrt(math.pi)) <= 1e-10
+
+
 def test_l1_custom_unit_bump():
     # normalized smooth bump of unit mass
     def bump(x):
@@ -440,6 +447,23 @@ def test_audit_reports_missing_orders_without_raising(profile, order):
     else:
         assert not rep.passed
         assert rep.item(f"deriv_order_{order}").status == "fail"
+
+
+def test_audit_tail_ledger_across_sign_changes():
+    # V = (2 - x) e^-x: each |V^(k)| has a kink at x = k + 2, inside the
+    # decade (1, 10), which the tanh-sinh rule crosses only by halving it;
+    # the tail of |V| over (1, inf) is 2 e^-2
+    e = np.exp
+    pot = custom_potential([lambda x: (2 - x) * e(-x), lambda x: (x - 3) * e(-x),
+                            lambda x: (4 - x) * e(-x), lambda x: (x - 5) * e(-x)],
+                           l1_integrable=True, tail_class="exponential",
+                           monotone_derivative_magnitudes=True)
+    rep = audit_assumptions(pot, "hj3")
+    for k in range(4):
+        assert rep.item(f"tail_W31_order_{k}").status == "pass", rep.to_json()
+    assert rep.item("x3_V3_L1_tail").status == "pass"
+    estimate = rep.item("tail_W31_order_0").data["estimate"]
+    assert abs(estimate - 2.0 * math.exp(-2.0)) <= 1e-8
 
 
 def test_audit_report_serializes():
